@@ -105,6 +105,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace herd;
 
 //===----------------------------------------------------------------------===
@@ -600,7 +602,9 @@ int main(int argc, char **argv) {
     RefParams P;
     if (Smoke)
       P.Rounds = 150;
-    std::string Path = "/tmp/herd_hotpath_refhot.trace";
+    // The pid keeps concurrent runs from writing one file.
+    std::string Path =
+        "/tmp/herd_hotpath_refhot." + std::to_string(getpid()) + ".trace";
     TraceWriter Writer;
     if (TraceResult TR = Writer.open(Path); !TR.Ok) {
       std::fprintf(stderr, "refhot: %s\n", TR.Error.c_str());
@@ -629,7 +633,8 @@ int main(int argc, char **argv) {
   // filter's speedup is actually measurable.
   Workloads.push_back(buildHotField(Smoke ? 1 : 4));
   for (Workload &W : Workloads) {
-    std::string Path = "/tmp/herd_hotpath_" + W.Name + ".trace";
+    std::string Path = "/tmp/herd_hotpath_" + W.Name + "." +
+                       std::to_string(getpid()) + ".trace";
     TraceWriter Writer;
     if (TraceResult TR = Writer.open(Path); !TR.Ok) {
       std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), TR.Error.c_str());

@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace herd;
 
 namespace {
@@ -51,7 +53,9 @@ int main() {
   std::vector<Recorded> Traces;
 
   for (Workload &W : buildAllWorkloads(4)) {
-    std::string Path = "/tmp/herd_bench_" + W.Name + ".trace";
+    // The pid keeps concurrent runs from writing one file.
+    std::string Path = "/tmp/herd_bench_" + W.Name + "." +
+                       std::to_string(getpid()) + ".trace";
     TraceWriter Writer;
     if (TraceResult TR = Writer.open(Path); !TR.Ok) {
       std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), TR.Error.c_str());

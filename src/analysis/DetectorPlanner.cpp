@@ -6,7 +6,7 @@
 
 #include "analysis/DetectorPlanner.h"
 
-#include "detect/RaceRuntime.h" // dummyLockOf: the canonical S_j id scheme
+#include "detect/LocksetFrontEnd.h" // dummyLockOf: the canonical S_j id scheme
 
 #include <unordered_map>
 #include <unordered_set>
@@ -145,7 +145,7 @@ DetectorPlan herd::planDetector(const Program &P,
   DetectorPlan Clamped = Plan.clamped();
   for (uint64_t T = 1; T <= Clamped.ExpectedThreads; ++T) {
     SortedIdSet<LockId> Dummy;
-    Dummy.insert(RaceRuntime::dummyLockOf(ThreadId(uint32_t(T))));
+    Dummy.insert(LocksetFrontEnd::dummyLockOf(ThreadId(uint32_t(T))));
     Plan.PreinternLocksets.push_back(std::move(Dummy));
   }
   return Plan;

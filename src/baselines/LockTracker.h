@@ -6,10 +6,10 @@
 ///
 /// \file
 /// Shared helper for the baseline detectors: tracks each thread's held
-/// lockset from monitor hook events.  Unlike detect/RaceRuntime it does not
-/// model join with dummy locks — Eraser and object race detection have no
-/// comparable mechanism (Section 8.3), which is exactly the difference the
-/// accuracy experiments show.
+/// lockset from monitor hook events.  Unlike detect/LocksetFrontEnd it does
+/// not model join with dummy locks — Eraser and object race detection have
+/// no comparable mechanism (Section 8.3), which is exactly the difference
+/// the accuracy experiments show.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,7 +6,7 @@
 
 #include "baselines/NaiveDetector.h"
 
-#include "detect/RaceRuntime.h"
+#include "detect/LocksetFrontEnd.h"
 
 using namespace herd;
 
@@ -20,13 +20,13 @@ void NaiveDetector::onThreadCreate(ThreadId Child, ThreadId Parent,
   size_t Index = Child.index();
   if (Index >= ExtraLocks.size())
     ExtraLocks.resize(Index + 1);
-  ExtraLocks[Index].insert(RaceRuntime::dummyLockOf(Child));
+  ExtraLocks[Index].insert(LocksetFrontEnd::dummyLockOf(Child));
 }
 
 void NaiveDetector::onThreadExit(ThreadId Dying) {
   if (!Opts.ModelJoin || Dying.index() >= ExtraLocks.size())
     return;
-  ExtraLocks[Dying.index()].erase(RaceRuntime::dummyLockOf(Dying));
+  ExtraLocks[Dying.index()].erase(LocksetFrontEnd::dummyLockOf(Dying));
 }
 
 void NaiveDetector::onThreadJoin(ThreadId Joiner, ThreadId Joined) {
@@ -35,7 +35,7 @@ void NaiveDetector::onThreadJoin(ThreadId Joiner, ThreadId Joined) {
   size_t Index = Joiner.index();
   if (Index >= ExtraLocks.size())
     ExtraLocks.resize(Index + 1);
-  ExtraLocks[Index].insert(RaceRuntime::dummyLockOf(Joined));
+  ExtraLocks[Index].insert(LocksetFrontEnd::dummyLockOf(Joined));
 }
 
 void NaiveDetector::onMonitorEnter(ThreadId Thread, LockId Lock,

@@ -18,7 +18,7 @@
 /// suffices to link each entry onto the list of the innermost *releasable*
 /// lock held at insertion time and flush that list when the lock is
 /// released.  (Dummy join locks are never released while the cache is live,
-/// so they are excluded from the tagging — see detect/RaceRuntime.)
+/// so they are excluded from the tagging — see detect/LocksetFrontEnd.)
 ///
 /// The entry count is configurable per instance (power of two; the paper's
 /// Section 4.3 experiments sweep cache sizes the same way) and defaults to

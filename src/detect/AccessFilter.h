@@ -26,7 +26,7 @@
 ///    (ownership shared-transition evictKey, cache conflict eviction).
 ///
 /// Together these make every L0 hit a guaranteed AccessCache hit — the
-/// differential oracle RaceRuntime/ShardedRuntime assert in debug builds
+/// differential oracle detect/LocksetFrontEnd asserts in debug builds
 /// via AccessCache::provesRedundant.
 ///
 //===----------------------------------------------------------------------===//

@@ -154,14 +154,16 @@ void appendProvenanceDetail(std::string &Out, const Program &P,
   }
 }
 
-/// Renders one race record using program metadata and, when available, the
-/// final heap (for object class names).  Replay runs have no heap — the
-/// trace carries only event ids — so \p TheHeap may be null, in which case
-/// objects are reported by index alone.
-std::string formatRace(const Program &P, const Heap *TheHeap,
-                       const RaceRecord &Rec) {
+/// Renders a location as "race on <class> #N field f" using program
+/// metadata and, when available, the final heap (for object class names).
+/// Replay runs have no heap — the trace carries only event ids — so
+/// \p TheHeap may be null, in which case objects are reported by index
+/// alone.  The epoch backend reports locations, not full race records, so
+/// its lines are exactly this; formatRace appends the attribution.
+std::string formatRacyLocation(const Program &P, const Heap *TheHeap,
+                               LocationKey Location) {
   std::string Out = "race on ";
-  ObjectId Obj = Rec.Location.object();
+  ObjectId Obj = Location.object();
   if (TheHeap && Obj.index() < TheHeap->size()) {
     const HeapObject &H = TheHeap->object(Obj);
     if (H.IsArray) {
@@ -178,13 +180,18 @@ std::string formatRace(const Program &P, const Heap *TheHeap,
   }
   Out += " #";
   Out += std::to_string(Obj.index());
-
-  uint32_t FieldBits = uint32_t(Rec.Location.raw() & 0xFFFFFFFF);
+  uint32_t FieldBits = uint32_t(Location.raw() & 0xFFFFFFFF);
   if (FieldBits < P.numFields()) {
     Out += " field ";
     Out += P.Names.text(P.field(FieldId(FieldBits)).Name);
   }
+  return Out;
+}
 
+/// Renders one race record: its location, then the racing accesses.
+std::string formatRace(const Program &P, const Heap *TheHeap,
+                       const RaceRecord &Rec) {
+  std::string Out = formatRacyLocation(P, TheHeap, Rec.Location);
   Out += ": ";
   Out += Rec.CurrentAccess == AccessKind::Write ? "write" : "read";
   Out += " by thread ";
@@ -216,37 +223,6 @@ std::string formatRace(const Program &P, const Heap *TheHeap,
   Out += " lock(s)";
   if (HasDummy)
     Out += " (+join ordering)";
-  return Out;
-}
-
-/// Renders one racy location the way formatRace renders its location part.
-/// The epoch backend reports locations, not full race records, so its lines
-/// carry no thread/site attribution.
-std::string formatRacyLocation(const Program &P, const Heap *TheHeap,
-                               LocationKey Location) {
-  std::string Out = "race on ";
-  ObjectId Obj = Location.object();
-  if (TheHeap && Obj.index() < TheHeap->size()) {
-    const HeapObject &H = TheHeap->object(Obj);
-    if (H.IsArray) {
-      Out += "array";
-    } else if (H.IsClassStatics) {
-      Out += "statics";
-    } else if (H.Class.isValid()) {
-      Out += P.Names.text(P.classDecl(H.Class).Name);
-    } else {
-      Out += "object";
-    }
-  } else {
-    Out += "object";
-  }
-  Out += " #";
-  Out += std::to_string(Obj.index());
-  uint32_t FieldBits = uint32_t(Location.raw() & 0xFFFFFFFF);
-  if (FieldBits < P.numFields()) {
-    Out += " field ";
-    Out += P.Names.text(P.field(FieldId(FieldBits)).Name);
-  }
   return Out;
 }
 
@@ -350,48 +326,6 @@ void collectDeadlockResults(const Program &Input, DeadlockDetector &Deadlocks,
   }
 }
 
-/// Builds the detection runtime \p Config asks for (serial RaceRuntime,
-/// ShardedRuntime, or the epoch backend) into whichever of \p Serial /
-/// \p Sharded / \p Epoch applies and returns the active one as a
-/// RuntimeHooks sink.  \p Plan carries the capacity hints the caller
-/// resolved for this run (empty = no pre-sizing).
-RuntimeHooks *makeDetectionRuntime(const ToolConfig &Config,
-                                   const DetectorPlan &Plan,
-                                   std::unique_ptr<RaceRuntime> &Serial,
-                                   std::unique_ptr<ShardedRuntime> &Sharded,
-                                   std::unique_ptr<EpochDetector> &Epoch) {
-  if (Config.Backend == ToolConfig::DetectorBackend::Epoch) {
-    // Serial only (HerdOptions rejects epoch + --shards); the plan's
-    // capacity hints pre-size the clock store and location table.
-    Epoch = std::make_unique<EpochDetector>(Plan);
-    return Epoch.get();
-  }
-  if (Config.Shards >= 1) {
-    ShardedRuntimeOptions SOpts;
-    SOpts.NumShards = Config.Shards;
-    SOpts.UseCache = Config.UseCache;
-    SOpts.CacheEntries = Config.CacheEntries;
-    SOpts.UseOwnership = Config.UseOwnership;
-    SOpts.FieldsMerged = Config.FieldsMerged;
-    SOpts.ModelJoin = Config.ModelJoin;
-    SOpts.HookFilter = Config.HookFilter;
-    SOpts.Plan = Plan;
-    SOpts.Metrics = Config.Metrics;
-    Sharded = std::make_unique<ShardedRuntime>(SOpts);
-    return Sharded.get();
-  }
-  RaceRuntimeOptions RTOpts;
-  RTOpts.UseCache = Config.UseCache;
-  RTOpts.CacheEntries = Config.CacheEntries;
-  RTOpts.UseOwnership = Config.UseOwnership;
-  RTOpts.FieldsMerged = Config.FieldsMerged;
-  RTOpts.ModelJoin = Config.ModelJoin;
-  RTOpts.HookFilter = Config.HookFilter;
-  RTOpts.Plan = Plan;
-  Serial = std::make_unique<RaceRuntime>(RTOpts);
-  return Serial.get();
-}
-
 /// Resolves the plan the non-Auto modes can provide without analysis
 /// results: Explicit sizes from the CLI; Off and (analysis-less) Auto are
 /// empty.  runPipeline overrides Auto with planDetector when the static
@@ -448,6 +382,140 @@ void formatRaceResults(const Program &P, const Heap *TheHeap,
     Result.Entries.push_back(std::move(Entry));
   }
 }
+
+/// The detection half of a run, assembled the same way for live runs and
+/// trace replay: the backend \p Config selects (serial RaceRuntime,
+/// ShardedRuntime, or the epoch detector), the listeners next to it
+/// (provenance, deadlock detector, trace recorder), and the fanout that
+/// delivers events to all of them.  Holds pointers into itself, so it is
+/// neither copied nor moved.
+class DetectionAssembly {
+public:
+  /// \p Plan carries the capacity hints the caller resolved for this run
+  /// (empty = no pre-sizing).  \p Observed is false for uninstrumented
+  /// ("Base") live runs: they produce no access events, so the backend
+  /// and provenance store are built but not attached — Base also skips
+  /// sync tracking.  \p Recorder, when set, is attached last.
+  DetectionAssembly(const ToolConfig &Config, const DetectorPlan &Plan,
+                    bool Observed, TraceWriter *Recorder)
+      : Config(Config) {
+    if (Config.Backend == ToolConfig::DetectorBackend::Epoch) {
+      // Serial only (HerdOptions rejects epoch + --shards); the plan's
+      // capacity hints pre-size the clock store and location table.
+      Epoch = std::make_unique<EpochDetector>(Plan);
+      Detect = Epoch.get();
+    } else {
+      RaceRuntimeOptions Opts;
+      Opts.UseCache = Config.UseCache;
+      Opts.CacheEntries = Config.CacheEntries;
+      Opts.UseOwnership = Config.UseOwnership;
+      Opts.FieldsMerged = Config.FieldsMerged;
+      Opts.ModelJoin = Config.ModelJoin;
+      Opts.HookFilter = Config.HookFilter;
+      Opts.Plan = Plan;
+      if (Config.Shards >= 1) {
+        ShardedRuntimeOptions SOpts;
+        SOpts.NumShards = Config.Shards;
+        SOpts.Detection = Opts;
+        SOpts.Metrics = Config.Metrics;
+        Sharded = std::make_unique<ShardedRuntime>(SOpts);
+        Detect = Sharded.get();
+      } else {
+        Serial = std::make_unique<RaceRuntime>(Opts);
+        Detect = Serial.get();
+      }
+    }
+    if (Observed)
+      Sinks.push_back(Detect);
+    // Provenance is a pure listener next to the detector: present only
+    // when asked for (zero-cost-when-off), and a second sink by design —
+    // which disables the devirtualized delivery lane, never the race set.
+    if (Config.Provenance && Observed) {
+      Prov.emplace();
+      Sinks.push_back(&*Prov);
+    }
+    if (Config.DetectDeadlocks)
+      Sinks.push_back(&Deadlocks);
+    if (Recorder)
+      Sinks.push_back(Recorder);
+    // FanoutHooks is only materialized when several sinks actually watch
+    // the run; the common single-sink configuration passes the sink
+    // directly and pays no forwarding loop.
+    if (Sinks.size() == 1) {
+      Hooks = Sinks.front();
+    } else if (Sinks.size() > 1) {
+      Fanout.emplace(Sinks);
+      Hooks = &*Fanout;
+    }
+  }
+
+  DetectionAssembly(const DetectionAssembly &) = delete;
+  DetectionAssembly &operator=(const DetectionAssembly &) = delete;
+
+  /// Where the event source delivers; null when nothing listens.
+  RuntimeHooks *hooks() const { return Hooks; }
+
+  /// Devirtualized delivery (docs/HOOKPATH.md): when the detection runtime
+  /// is the *sole* sink — no recorder, no deadlock detector — and no
+  /// profiler wants to time hook calls, the interpreter delivers access
+  /// events straight to the concrete runtime (inline L0 filter included).
+  /// Any extra sink disables it so recorded traces keep every event.
+  void setDirectSink(InterpOptions &IOpts) const {
+    if (Config.HookFilter && !Config.Profiler && Sinks.size() == 1 &&
+        Hooks == Detect) {
+      IOpts.SerialSink = Serial.get();
+      IOpts.ShardedSink = Sharded.get();
+    }
+  }
+
+  /// Reads the backend's counters and reports into \p Result, draining a
+  /// sharded runtime first.
+  void harvest(PipelineResult &Result) {
+    if (Sharded) {
+      Sharded->finish();
+      Result.Stats = Sharded->stats();
+      Result.Reports = Sharded->reporter();
+      Result.ShardBreakdown = Sharded->shardStats();
+    } else if (Serial) {
+      Result.Stats = Serial->stats();
+      Result.Reports = Serial->reporter();
+    } else {
+      Result.EpochBackend = true;
+      Result.Epoch = Epoch->stats();
+    }
+  }
+
+  /// Formats the harvested findings against \p P (and \p TheHeap, null
+  /// for replay), hands over the provenance store, and — with
+  /// DetectDeadlocks — adds the dynamic and static deadlock results, whose
+  /// static half analyses \p Input.
+  void finish(const Program &P, const Heap *TheHeap, const Program &Input,
+              PipelineResult &Result) {
+    {
+      Span FormatSpan(Config.Metrics, "format-reports");
+      formatRaceResults(P, TheHeap, Epoch.get(), Prov ? &*Prov : nullptr,
+                        Result);
+    }
+    if (Prov) {
+      Result.ProvenanceOn = true;
+      Result.Provenance = std::move(*Prov);
+    }
+    if (Config.DetectDeadlocks)
+      collectDeadlockResults(Input, Deadlocks, Result);
+  }
+
+private:
+  const ToolConfig &Config;
+  std::unique_ptr<RaceRuntime> Serial;
+  std::unique_ptr<ShardedRuntime> Sharded;
+  std::unique_ptr<EpochDetector> Epoch;
+  RuntimeHooks *Detect = nullptr; ///< whichever backend was built
+  std::optional<ProvenanceStore> Prov;
+  DeadlockDetector Deadlocks;
+  std::vector<RuntimeHooks *> Sinks;
+  std::optional<FanoutHooks> Fanout;
+  RuntimeHooks *Hooks = nullptr;
+};
 
 } // namespace
 
@@ -512,12 +580,6 @@ PipelineResult herd::runPipeline(const Program &Input,
   // detection runtime is either the serial RaceRuntime or, with
   // Config.Shards >= 1, the sharded batched runtime (docs/SHARDING.md) —
   // both produce the identical race-report set for the same schedule.
-  std::unique_ptr<RaceRuntime> Serial;
-  std::unique_ptr<ShardedRuntime> Sharded;
-  std::unique_ptr<EpochDetector> Epoch;
-  RuntimeHooks *Detect =
-      makeDetectionRuntime(Config, Plan, Serial, Sharded, Epoch);
-  DeadlockDetector Deadlocks;
   TraceWriter Writer;
   if (!Config.RecordTracePath.empty()) {
     Result.Trace = Writer.open(Config.RecordTracePath);
@@ -527,35 +589,10 @@ PipelineResult herd::runPipeline(const Program &Input,
     }
   }
   // The interpreter gets whichever sinks this configuration wants: the
-  // race detector (only when the program is instrumented — "Base" runs
-  // produce no access events anyway but also skip sync tracking), the
-  // deadlock detector, and the trace recorder.
-  std::vector<RuntimeHooks *> SinkList;
-  if (Config.Instrument)
-    SinkList.push_back(Detect);
-  // Provenance is a pure listener next to the detector: present only when
-  // asked for (zero-cost-when-off), and a second sink by design — which
-  // disables the devirtualized delivery lane below, never the race set.
-  std::optional<ProvenanceStore> Prov;
-  if (Config.Provenance && Config.Instrument) {
-    Prov.emplace();
-    SinkList.push_back(&*Prov);
-  }
-  if (Config.DetectDeadlocks)
-    SinkList.push_back(&Deadlocks);
-  if (Writer.isOpen())
-    SinkList.push_back(&Writer);
-  // FanoutHooks is only materialized when several sinks actually watch the
-  // run; the common single-sink configuration passes the sink directly and
-  // pays no forwarding loop.
-  std::optional<FanoutHooks> Fanout;
-  RuntimeHooks *Hooks = nullptr;
-  if (SinkList.size() == 1) {
-    Hooks = SinkList.front();
-  } else if (SinkList.size() > 1) {
-    Fanout.emplace(SinkList);
-    Hooks = &*Fanout;
-  }
+  // race detector (only when the program is instrumented), the deadlock
+  // detector, and the trace recorder.
+  DetectionAssembly Detection(Config, Plan, Config.Instrument,
+                              Writer.isOpen() ? &Writer : nullptr);
 
   InterpOptions IOpts;
   IOpts.Seed = Config.Seed;
@@ -564,17 +601,8 @@ PipelineResult herd::runPipeline(const Program &Input,
   IOpts.Profiler = Config.Profiler;
   IOpts.Dispatch = Config.Dispatch;
   IOpts.Fused = Shadow.get();
-  // Devirtualized delivery (docs/HOOKPATH.md): when the detection runtime
-  // is the *sole* sink — no recorder, no deadlock detector — and no
-  // profiler wants to time hook calls, the interpreter delivers access
-  // events straight to the concrete runtime (inline L0 filter included).
-  // Any extra sink disables it so recorded traces keep every event.
-  if (Config.HookFilter && !Config.Profiler && SinkList.size() == 1 &&
-      Hooks == Detect) {
-    IOpts.SerialSink = Serial.get();
-    IOpts.ShardedSink = Sharded.get();
-  }
-  Interpreter Interp(P, Hooks, IOpts);
+  Detection.setDirectSink(IOpts);
+  Interpreter Interp(P, Detection.hooks(), IOpts);
 
   Clock::time_point T1 = Clock::now();
   {
@@ -586,28 +614,9 @@ PipelineResult herd::runPipeline(const Program &Input,
 
   {
     Span DrainSpan(Metrics, "detect-drain");
-    if (Sharded) {
-      Sharded->finish();
-      Result.Stats = Sharded->stats();
-      Result.Reports = Sharded->reporter();
-      Result.ShardBreakdown = Sharded->shardStats();
-    } else if (Serial) {
-      Result.Stats = Serial->stats();
-      Result.Reports = Serial->reporter();
-    } else {
-      Result.EpochBackend = true;
-      Result.Epoch = Epoch->stats();
-    }
+    Detection.harvest(Result);
   }
-  {
-    Span FormatSpan(Metrics, "format-reports");
-    formatRaceResults(P, &Interp.heap(), Epoch.get(),
-                      Prov ? &*Prov : nullptr, Result);
-  }
-  if (Prov) {
-    Result.ProvenanceOn = true;
-    Result.Provenance = std::move(*Prov);
-  }
+  Detection.finish(P, &Interp.heap(), Input, Result);
   if (Metrics) {
     Metrics->counter("run.instructions").add(Result.Run.InstructionsExecuted);
     Metrics->counter("run.access_events").add(Result.Run.AccessEvents);
@@ -622,9 +631,6 @@ PipelineResult herd::runPipeline(const Program &Input,
     Result.TraceRecords = Writer.recordsWritten();
     Result.TraceBytes = Writer.bytesWritten();
   }
-
-  if (Config.DetectDeadlocks)
-    collectDeadlockResults(Input, Deadlocks, Result);
   return Result;
 }
 
@@ -634,32 +640,15 @@ PipelineResult herd::replayTracePipeline(const Program &Input,
   using Clock = std::chrono::steady_clock;
   PipelineResult Result;
 
-  // Build the same detection runtime a live run with this Config would
+  // Build the same detection assembly a live run with this Config would
   // use; the trace replaces the interpreter as the event source, so the
   // compile-time phases are skipped entirely.  Auto planning needs those
-  // phases, so replay only honours an Explicit plan (`--plan=N`).
-  std::unique_ptr<RaceRuntime> Serial;
-  std::unique_ptr<ShardedRuntime> Sharded;
-  std::unique_ptr<EpochDetector> Epoch;
-  RuntimeHooks *Detect = makeDetectionRuntime(Config, configuredPlan(Config),
-                                              Serial, Sharded, Epoch);
-  DeadlockDetector Deadlocks;
-  std::vector<RuntimeHooks *> SinkList{Detect};
-  // v1 traces carry sites on monitor-enter / thread-create records, so
+  // phases, so replay only honours an Explicit plan (`--plan=N`).  v1
+  // traces carry sites on monitor-enter / thread-create records, so
   // replayed runs can capture the same provenance a live run would.
-  std::optional<ProvenanceStore> Prov;
-  if (Config.Provenance) {
-    Prov.emplace();
-    SinkList.push_back(&*Prov);
-  }
-  if (Config.DetectDeadlocks)
-    SinkList.push_back(&Deadlocks);
-  std::optional<FanoutHooks> Fanout;
-  RuntimeHooks *Sink = SinkList.front();
-  if (SinkList.size() > 1) {
-    Fanout.emplace(SinkList);
-    Sink = &*Fanout;
-  }
+  DetectionAssembly Detection(Config, configuredPlan(Config),
+                              /*Observed=*/true, /*Recorder=*/nullptr);
+  RuntimeHooks *Sink = Detection.hooks();
 
   MetricsRegistry *Metrics = Config.Metrics;
   Result.Dispatch = Config.Dispatch; // no interpretation: fusion stays zero
@@ -690,29 +679,8 @@ PipelineResult herd::replayTracePipeline(const Program &Input,
   }
   Result.Run.AccessEvents = Result.TraceRecords;
 
-  if (Sharded) {
-    Result.Stats = Sharded->stats();
-    Result.Reports = Sharded->reporter();
-    Result.ShardBreakdown = Sharded->shardStats();
-  } else if (Serial) {
-    Result.Stats = Serial->stats();
-    Result.Reports = Serial->reporter();
-  } else {
-    Result.EpochBackend = true;
-    Result.Epoch = Epoch->stats();
-  }
+  Detection.harvest(Result);
   // No heap exists in a replay run; formatRace degrades to object indices.
-  {
-    Span FormatSpan(Metrics, "format-reports");
-    formatRaceResults(Input, nullptr, Epoch.get(), Prov ? &*Prov : nullptr,
-                      Result);
-  }
-  if (Prov) {
-    Result.ProvenanceOn = true;
-    Result.Provenance = std::move(*Prov);
-  }
-
-  if (Config.DetectDeadlocks)
-    collectDeadlockResults(Input, Deadlocks, Result);
+  Detection.finish(Input, nullptr, Input, Result);
   return Result;
 }

@@ -92,7 +92,7 @@ public:
 
   /// Every object can be used as a lock; its LockId is its object index.
   /// (The detector's dummy join locks use a disjoint id range; see
-  /// detect/RaceRuntime.)
+  /// detect/LocksetFrontEnd.)
   static LockId lockOf(ObjectId Obj) { return LockId(Obj.index()); }
 
 private:

@@ -70,7 +70,10 @@ struct Interpreter::SimThread {
 Interpreter::Interpreter(const Program &P, RuntimeHooks *Hooks,
                          InterpOptions Opts)
     : P(P), Hooks(Hooks), Prof(Opts.Profiler), SerialSink(Opts.SerialSink),
-      ShardedSink(Opts.ShardedSink), Opts(Opts), TheHeap(P),
+      ShardedSink(Opts.ShardedSink),
+      FrontEnd(SerialSink ? static_cast<LocksetFrontEnd *>(SerialSink)
+                          : ShardedSink),
+      Opts(Opts), TheHeap(P),
       ScheduleRng(Opts.Seed) {
   assert(!(SerialSink && ShardedSink) &&
          "at most one devirtualized access sink");
@@ -124,39 +127,34 @@ bool Interpreter::requireInt(const Value &V, int64_t &Out,
 void Interpreter::emitAccess(ThreadId Thread, LocationKey Loc,
                              AccessKind Kind, SiteId Site) {
   ++Result.AccessEvents;
-  // Hoisted L0 probe (docs/HOOKPATH.md): CurFilter is the running
-  // thread's filter, refreshed at quantum start, so the common case — a
-  // guaranteed-redundant access — costs one hash and one slot compare
-  // through a register-resident pointer.  A hit must be backed by the
-  // detector-side cache (the differential oracle, asserted in debug
-  // builds); a miss falls through to the full delivery path, which is
-  // what seeds the filter.
-  if (CurFilter) {
-    if (CurFilter->probe(Loc, Kind)) {
-      assert((SerialSink ? SerialSink->oracleHolds(Thread, Loc, Kind)
-                         : ShardedSink->oracleHolds(Thread, Loc, Kind)) &&
-             "hoisted L0 filter hit not backed by the detector-side cache");
+  // Devirtualized delivery (docs/HOOKPATH.md).  The pipeline only sets a
+  // sink when no profiler is active, so the profiled hook-timing path
+  // below stays exact when profiling.
+  if (FrontEnd) {
+    // Hoisted L0 probe: CurFilter is the running thread's filter,
+    // refreshed at quantum start, so the common case — a
+    // guaranteed-redundant access — costs one hash and one slot compare
+    // through a register-resident pointer.  A hit must be backed by the
+    // detector-side cache (the differential oracle, asserted in debug
+    // builds).  Without a hoistable filter (filter off, or FieldsMerged)
+    // the front end's filterHit performs the key transform and the probe
+    // itself.  A miss falls through to the full delivery path, which is
+    // what seeds the filter.
+    if (CurFilter) {
+      if (CurFilter->probe(Loc, Kind)) {
+        assert(FrontEnd->oracleHolds(Thread, Loc, Kind) &&
+               "hoisted L0 filter hit not backed by the detector-side cache");
+        return;
+      }
+    } else if (FrontEnd->filterHit(Thread, Loc, Kind)) {
       return;
     }
     // Qualified calls: the sink type is concrete, so the miss path stays
     // devirtualized too.
-    if (SerialSink) {
+    if (SerialSink)
       SerialSink->RaceRuntime::onAccess(Thread, Loc, Kind, Site);
-      return;
-    }
-    ShardedSink->ShardedRuntime::onAccess(Thread, Loc, Kind, Site);
-    return;
-  }
-  // Devirtualized delivery without a hoistable filter (filter off, or
-  // FieldsMerged): onAccessFast performs the key transform and the probe
-  // itself.  The pipeline only sets a sink when no profiler is active, so
-  // the profiled hook-timing path below stays exact when profiling.
-  if (SerialSink) {
-    SerialSink->onAccessFast(Thread, Loc, Kind, Site);
-    return;
-  }
-  if (ShardedSink) {
-    ShardedSink->onAccessFast(Thread, Loc, Kind, Site);
+    else
+      ShardedSink->ShardedRuntime::onAccess(Thread, Loc, Kind, Site);
     return;
   }
   if (!Hooks)
@@ -1426,10 +1424,8 @@ InterpResult Interpreter::run() {
     // cross-thread shared-transition evictions, cache-conflict
     // displacement — mutates the pointed-to filter in place, so a
     // quantum-long cache of the pointer can never serve a stale hit.
-    if (SerialSink)
-      CurFilter = SerialSink->filterHandle(Current->Id);
-    else if (ShardedSink)
-      CurFilter = ShardedSink->filterHandle(Current->Id);
+    if (FrontEnd)
+      CurFilter = FrontEnd->filterHandle(Current->Id);
 
     // Pair counts never chain across a context switch, in either mode.
     if (HERD_UNLIKELY(Prof != nullptr))

@@ -38,6 +38,7 @@ namespace herd {
 
 class InterpProfiler;
 class AccessFilter;
+class LocksetFrontEnd;
 class RaceRuntime;
 class ShardedRuntime;
 
@@ -119,13 +120,14 @@ struct InterpOptions {
   const ThreadedCode *Fused = nullptr;
 
   /// Devirtualized delivery (docs/HOOKPATH.md): when one of these is set,
-  /// traced accesses bypass the virtual RuntimeHooks::onAccess hop and
-  /// call the concrete runtime's onAccessFast — which probes the inline
-  /// L0 filter — directly.  The pipeline sets at most one, and only when
-  /// the detection runtime is the sole access sink (no recorder, no
-  /// deadlock detector, no profiler): every other sink would miss events
-  /// the filter suppresses.  All non-access events still flow through the
-  /// normal Hooks pointer, which must reference the same runtime.
+  /// traced accesses bypass the virtual RuntimeHooks::onAccess hop: the
+  /// interpreter probes the inline L0 filter of the runtime's lockset
+  /// front end and calls the concrete runtime's onAccess on a miss.  The
+  /// pipeline sets at most one, and only when the detection runtime is the
+  /// sole access sink (no recorder, no deadlock detector, no profiler):
+  /// every other sink would miss events the filter suppresses.  All
+  /// non-access events still flow through the normal Hooks pointer, which
+  /// must reference the same runtime.
   RaceRuntime *SerialSink = nullptr;
   ShardedRuntime *ShardedSink = nullptr;
 };
@@ -277,8 +279,9 @@ private:
   InterpProfiler *Prof;
   RaceRuntime *SerialSink;   ///< devirtualized delivery (InterpOptions)
   ShardedRuntime *ShardedSink;
+  LocksetFrontEnd *FrontEnd; ///< whichever sink is set, or null
   /// The running thread's L0 filter, refreshed at each quantum start from
-  /// the active sink's filterHandle (docs/HOOKPATH.md).  Non-null only on
+  /// the front end's filterHandle (docs/HOOKPATH.md).  Non-null only on
   /// the devirtualized path with the filter hoistable; emitAccess probes
   /// it through this one pointer before any call into the runtime.
   AccessFilter *CurFilter = nullptr;

@@ -14,6 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TempPath.h"
 #include "baselines/EpochDetector.h"
 #include "baselines/VectorClockDetector.h"
 #include "detect/RaceRuntime.h"
@@ -83,7 +84,7 @@ std::string inflateToTemp(const CorpusEntry &E) {
   std::vector<uint8_t> Raw;
   EXPECT_TRUE(rleDecompress(Packed, Raw)) << E.File;
   EXPECT_EQ(Raw.size(), E.RawBytes) << E.File;
-  std::string Path = "/tmp/herd_corpus_test_" + E.Workload + ".trace";
+  std::string Path = tempPath("herd_corpus_test_" + E.Workload + ".trace");
   std::FILE *F = std::fopen(Path.c_str(), "wb");
   EXPECT_NE(F, nullptr);
   if (F) {

@@ -27,6 +27,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "FuzzPrograms.h"
+#include "TempPath.h"
 #include "TestPrograms.h"
 #include "detect/AccessCache.h"
 #include "detect/AccessFilter.h"
@@ -270,8 +271,8 @@ TEST(HookFilterDifferentialTest, MultiSinkConfigsDisableDevirtButAgree) {
     Config.HookFilter = true;
     PipelineResult On = runPipeline(P, Config);
     expectSameRun(Ref, On, Name + " deadlocks");
-    // Access events bypass onAccessFast entirely on the fanout path, so
-    // the L0 filter never fires.
+    // Access events travel the virtual fanout path, so the L0 filter never
+    // fires.
     EXPECT_EQ(On.Stats.Hook.FilterHits, 0u);
   }
 }
@@ -344,9 +345,9 @@ TEST(HookFilterDifferentialTest, RecordedTracesKeepEveryEvent) {
   // with the filter on and off.
   for (auto &[Name, P] : namedCorpus()) {
     std::string OnPath =
-        ::testing::TempDir() + "herd_hookfilter_on_" + Name + ".trace";
+        tempPath("herd_hookfilter_on_" + Name + ".trace");
     std::string OffPath =
-        ::testing::TempDir() + "herd_hookfilter_off_" + Name + ".trace";
+        tempPath("herd_hookfilter_off_" + Name + ".trace");
 
     ToolConfig Rec = ToolConfig::full();
     Rec.Seed = 21;

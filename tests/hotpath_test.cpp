@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "FuzzPrograms.h"
+#include "TempPath.h"
 #include "TestPrograms.h"
 #include "detect/AccessTrie.h"
 #include "detect/Detector.h"
@@ -378,19 +379,19 @@ TEST(HotPathDifferential, HandWrittenPrograms) {
   // Figure 2 in both flavours (distinct locks = racy, same lock = clean)
   // and the Figure 3 loop.
   checkDifferential(testprogs::buildFigure2(/*SamePQ=*/false), 1,
-                    "/tmp/herd_hotpath_diff_fig2racy.trace");
+                    tempPath("herd_hotpath_diff_fig2racy.trace"));
   checkDifferential(testprogs::buildFigure2(/*SamePQ=*/true), 1,
-                    "/tmp/herd_hotpath_diff_fig2clean.trace");
+                    tempPath("herd_hotpath_diff_fig2clean.trace"));
   checkDifferential(testprogs::buildFig3Loop(16), 1,
-                    "/tmp/herd_hotpath_diff_fig3.trace");
+                    tempPath("herd_hotpath_diff_fig3.trace"));
 }
 
 TEST(HotPathDifferential, FuzzedPrograms) {
   for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
     Program P = fuzzprogs::generateProgram(Seed);
     checkDifferential(P, Seed,
-                      "/tmp/herd_hotpath_diff_fuzz" + std::to_string(Seed) +
-                          ".trace");
+                      tempPath("herd_hotpath_diff_fuzz" +
+                               std::to_string(Seed) + ".trace"));
   }
 }
 

@@ -22,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "FuzzPrograms.h"
+#include "TempPath.h"
 #include "TestPrograms.h"
 #include "analysis/DetectorPlanner.h"
 #include "herd/Pipeline.h"
@@ -110,7 +111,7 @@ TEST(PlanEquivalence, ReplayHonorsExplicitPlan) {
   // explicit plan: identical reports.  Replay has no analysis results, so
   // Auto degrades to no plan there — also checked.
   Program P = buildFigure2(/*SamePQ=*/true);
-  std::string Path = "/tmp/herd_plan_test.trace";
+  std::string Path = tempPath("herd_plan_test.trace");
   ToolConfig Config = ToolConfig::full();
   Config.RecordTracePath = Path;
   PipelineResult Live = runPipeline(P, Config);

@@ -7,11 +7,13 @@
 /// \file
 /// Tests of the full runtime pipeline (cache -> ownership -> trie) driven
 /// both synthetically and by interpreted MiniJ programs, including the
-/// paper's Figure 2 example and the mtrt join idiom of Section 8.3.
+/// paper's Figure 2 example and the mtrt join idiom of Section 8.3.  The
+/// lockset front-end cases run on both the serial and the sharded runtime.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "detect/RaceRuntime.h"
+#include "detect/ShardedRuntime.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
 #include "runtime/Interpreter.h"
@@ -29,35 +31,56 @@ LocationKey keyOf(uint32_t Obj, uint32_t Field = 0) {
   return LocationKey::forField(ObjectId(Obj), FieldId(Field));
 }
 
+/// Runs \p Body on each runtime built on the lockset front end — the
+/// serial RaceRuntime and a two-shard ShardedRuntime — configured by
+/// \p Opts.
+template <typename BodyFn>
+void forEachRuntime(const RaceRuntimeOptions &Opts, BodyFn Body) {
+  {
+    SCOPED_TRACE("serial");
+    RaceRuntime RT(Opts);
+    Body(RT);
+  }
+  {
+    SCOPED_TRACE("sharded");
+    ShardedRuntimeOptions SOpts;
+    SOpts.NumShards = 2;
+    SOpts.Detection = Opts;
+    ShardedRuntime RT(SOpts);
+    Body(RT);
+  }
+}
+
 TEST(RaceRuntimeTest, LockSetTracksMonitorsAndIgnoresRecursion) {
-  RaceRuntime RT;
-  ThreadId T(1);
-  RT.onThreadCreate(T, ThreadId(0), ObjectId(9));
-  RT.onMonitorEnter(T, LockId(5), /*Recursive=*/false);
-  RT.onMonitorEnter(T, LockId(5), /*Recursive=*/true);
-  RT.onMonitorEnter(T, LockId(6), /*Recursive=*/false);
-  LockSet Locks = RT.lockSetOf(T);
-  EXPECT_TRUE(Locks.contains(LockId(5)));
-  EXPECT_TRUE(Locks.contains(LockId(6)));
-  EXPECT_TRUE(Locks.contains(RaceRuntime::dummyLockOf(T)));
-  RT.onMonitorExit(T, LockId(6), /*StillHeld=*/false);
-  RT.onMonitorExit(T, LockId(5), /*StillHeld=*/true);
-  Locks = RT.lockSetOf(T);
-  EXPECT_TRUE(Locks.contains(LockId(5))); // nested exit: still held
-  EXPECT_FALSE(Locks.contains(LockId(6)));
+  forEachRuntime({}, [](auto &RT) {
+    ThreadId T(1);
+    RT.onThreadCreate(T, ThreadId(0), ObjectId(9));
+    RT.onMonitorEnter(T, LockId(5), /*Recursive=*/false);
+    RT.onMonitorEnter(T, LockId(5), /*Recursive=*/true);
+    RT.onMonitorEnter(T, LockId(6), /*Recursive=*/false);
+    LockSet Locks = RT.lockSetOf(T);
+    EXPECT_TRUE(Locks.contains(LockId(5)));
+    EXPECT_TRUE(Locks.contains(LockId(6)));
+    EXPECT_TRUE(Locks.contains(LocksetFrontEnd::dummyLockOf(T)));
+    RT.onMonitorExit(T, LockId(6), /*StillHeld=*/false);
+    RT.onMonitorExit(T, LockId(5), /*StillHeld=*/true);
+    Locks = RT.lockSetOf(T);
+    EXPECT_TRUE(Locks.contains(LockId(5))); // nested exit: still held
+    EXPECT_FALSE(Locks.contains(LockId(6)));
+  });
 }
 
 TEST(RaceRuntimeTest, JoinAddsPermanentDummyLock) {
-  RaceRuntime RT;
-  RT.onThreadCreate(ThreadId(0), ThreadId::invalid(), ObjectId::invalid());
-  RT.onThreadCreate(ThreadId(1), ThreadId(0), ObjectId(5));
-  RT.onThreadExit(ThreadId(1));
-  RT.onThreadJoin(ThreadId(0), ThreadId(1));
-  EXPECT_TRUE(
-      RT.lockSetOf(ThreadId(0)).contains(RaceRuntime::dummyLockOf(ThreadId(1))));
-  // The exited thread no longer holds its own dummy lock.
-  EXPECT_FALSE(
-      RT.lockSetOf(ThreadId(1)).contains(RaceRuntime::dummyLockOf(ThreadId(1))));
+  forEachRuntime({}, [](auto &RT) {
+    LockId S1 = LocksetFrontEnd::dummyLockOf(ThreadId(1));
+    RT.onThreadCreate(ThreadId(0), ThreadId::invalid(), ObjectId::invalid());
+    RT.onThreadCreate(ThreadId(1), ThreadId(0), ObjectId(5));
+    RT.onThreadExit(ThreadId(1));
+    RT.onThreadJoin(ThreadId(0), ThreadId(1));
+    EXPECT_TRUE(RT.lockSetOf(ThreadId(0)).contains(S1));
+    // The exited thread no longer holds its own dummy lock.
+    EXPECT_FALSE(RT.lockSetOf(ThreadId(1)).contains(S1));
+  });
 }
 
 TEST(RaceRuntimeTest, MtrtJoinIdiomNotReported) {
@@ -122,13 +145,14 @@ TEST(RaceRuntimeTest, CacheHitsSuppressDetectorTraffic) {
 TEST(RaceRuntimeTest, SharedTransitionEvictsOwnerCacheEntry) {
   // Section 7.2: without forced eviction, the owner's cached entry would
   // suppress its first post-sharing access and the race would be missed.
-  RaceRuntime RT;
-  RT.onThreadCreate(ThreadId(1), ThreadId(0), ObjectId(8));
-  RT.onThreadCreate(ThreadId(2), ThreadId(0), ObjectId(9));
-  RT.onAccess(ThreadId(1), keyOf(1), WR, SiteId()); // owner; cached
-  RT.onAccess(ThreadId(2), keyOf(1), WR, SiteId()); // shares the location
-  RT.onAccess(ThreadId(1), keyOf(1), WR, SiteId()); // must NOT hit cache
-  EXPECT_EQ(RT.reporter().size(), 1u);
+  forEachRuntime({}, [](auto &RT) {
+    RT.onThreadCreate(ThreadId(1), ThreadId(0), ObjectId(8));
+    RT.onThreadCreate(ThreadId(2), ThreadId(0), ObjectId(9));
+    RT.onAccess(ThreadId(1), keyOf(1), WR, SiteId()); // owner; cached
+    RT.onAccess(ThreadId(2), keyOf(1), WR, SiteId()); // shares the location
+    RT.onAccess(ThreadId(1), keyOf(1), WR, SiteId()); // must NOT hit cache
+    EXPECT_EQ(RT.reporter().size(), 1u);
+  });
 }
 
 TEST(RaceRuntimeTest, CacheTransparencyOnSyntheticStreams) {
@@ -174,10 +198,7 @@ TEST(RaceRuntimeTest, CacheTransparencyOnSyntheticStreams) {
       Ops.push_back(O);
     }
 
-    auto RunWith = [&](bool UseCache) {
-      RaceRuntimeOptions Opts;
-      Opts.UseCache = UseCache;
-      RaceRuntime RT(Opts);
+    auto Play = [&Ops](auto &RT) {
       for (uint32_t T = 0; T != 3; ++T)
         RT.onThreadCreate(ThreadId(T), ThreadId::invalid(), ObjectId::invalid());
       for (const Op &O : Ops) {
@@ -192,7 +213,20 @@ TEST(RaceRuntimeTest, CacheTransparencyOnSyntheticStreams) {
       return RT.reporter().reportedLocations();
     };
 
-    EXPECT_EQ(RunWith(true), RunWith(false)) << "seed " << Seed;
+    // The serial runtime without caches is the reference; every runtime,
+    // with and without caches, must report the same locations.
+    RaceRuntimeOptions NoCache;
+    NoCache.UseCache = false;
+    RaceRuntime Reference(NoCache);
+    std::set<LocationKey> Expected = Play(Reference);
+    for (bool UseCache : {true, false}) {
+      RaceRuntimeOptions Opts;
+      Opts.UseCache = UseCache;
+      forEachRuntime(Opts, [&](auto &RT) {
+        EXPECT_EQ(Play(RT), Expected)
+            << "seed " << Seed << (UseCache ? " cached" : " uncached");
+      });
+    }
   }
 }
 

@@ -22,6 +22,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TempPath.h"
 #include "TestPrograms.h"
 #include "baselines/VectorClockDetector.h"
 #include "detect/RaceReport.h"
@@ -41,10 +42,6 @@
 using namespace herd;
 
 namespace {
-
-std::string tempPath(const std::string &Name) {
-  return ::testing::TempDir() + Name;
-}
 
 /// Sorted fingerprint multiset of every retained record — the structural
 /// race-set identity the differentials compare.

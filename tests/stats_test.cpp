@@ -189,8 +189,8 @@ TEST(StatsTest, QueueDepthHighWaterMarkIsBounded) {
   Opts.NumShards = 2;
   Opts.BatchCapacity = 4;
   Opts.QueueDepthBatches = 3;
-  Opts.UseCache = false;
-  Opts.UseOwnership = false;
+  Opts.Detection.UseCache = false;
+  Opts.Detection.UseOwnership = false;
   ShardedRuntime RT(Opts);
   RT.onThreadCreate(ThreadId(0), ThreadId::invalid(), ObjectId::invalid());
   RT.onThreadCreate(ThreadId(1), ThreadId(0), ObjectId(1));

@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "FuzzPrograms.h"
+#include "TempPath.h"
 #include "TestPrograms.h"
 #include "baselines/EraserDetector.h"
 #include "baselines/VectorClockDetector.h"
@@ -34,10 +35,6 @@
 using namespace herd;
 
 namespace {
-
-std::string tempPath(const std::string &Name) {
-  return ::testing::TempDir() + Name;
-}
 
 std::vector<uint8_t> readAll(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
@@ -347,8 +344,11 @@ TEST(TracePipelineTest, ReplayErrorsSurfaceDiagnostics) {
   Log.onAccess(ThreadId(0), LocationKey::forField(ObjectId(1), FieldId(0)),
                AccessKind::Write, SiteId(0));
   std::vector<uint8_t> Bytes = Log.serialize();
-  Bytes.resize(Bytes.size() - 3); // cut into the final record
-  writeAll(Path, Bytes);
+  // Cut into the final record.  Copied by iterators rather than resized in
+  // place: g++ 12 at -O1 with ASan reports a -Wstringop-overflow false
+  // positive on the shrinking resize.
+  ASSERT_GT(Bytes.size(), 3u);
+  writeAll(Path, std::vector<uint8_t>(Bytes.begin(), Bytes.end() - 3));
 
   ToolConfig Cfg = ToolConfig::full();
   Cfg.Shards = 3;

@@ -31,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace herd;
 
 namespace {
@@ -78,7 +80,9 @@ int main(int argc, char **argv) {
 
   std::string Manifest;
   for (Workload &W : buildAllWorkloads(Scale)) {
-    std::string RawPath = "/tmp/herd_corpus_" + W.Name + ".trace";
+    // The pid keeps concurrent runs from writing one file.
+    std::string RawPath = "/tmp/herd_corpus_" + W.Name + "." +
+                          std::to_string(getpid()) + ".trace";
     TraceWriter Writer;
     if (TraceResult TR = Writer.open(RawPath); !TR.Ok) {
       std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), TR.Error.c_str());
