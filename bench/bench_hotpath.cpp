@@ -30,8 +30,8 @@
 ///
 ///  * A cold-pass A/B — each trace is additionally replayed through a
 ///    serial runtime pre-sized by a DetectorPlan ("serial+plan"): the
-///    replicas use the analysis-driven planner (exactly what the pipeline's
-///    `--plan=auto` computes), refhot synthesizes its plan from the stream
+///    replicas use the analysis-driven planner (exactly what a live
+///    pipeline run computes), refhot synthesizes its plan from the stream
 ///    parameters (there is no program to analyze).  The cold rows of the
 ///    two serial runtimes are the before/after of analysis-driven
 ///    pre-sizing; the JSON carries them as `cold_ab`.
@@ -45,7 +45,7 @@
 ///    interpreter, `threaded` is computed-goto dispatch over the
 ///    superinstruction shadow code.  The JSON keys the per-mode results
 ///    as `live_by_dispatch` and keeps `live` as the threaded entry;
-///    scripts/check_dispatch_gate.py gates the smoke run against the
+///    scripts/check_bench_gates.py gates the smoke run against the
 ///    checked-in baseline.
 ///
 ///  * A hook-path A/B (docs/HOOKPATH.md) — the threaded live run repeats
@@ -55,7 +55,7 @@
 ///    per-trace `hook_path` section carries the unfiltered and filtered
 ///    live throughputs, the L0 hit rate, and the counter-reconciliation
 ///    identity (access_events == filter_hits + events_delivered);
-///    scripts/check_hook_gate.py gates both.
+///    scripts/check_bench_gates.py gates both.
 ///
 ///  * A provenance A/B (docs/REPORTS.md) — each replica's default live
 ///    configuration (devirtualized L0-filtered sink) repeats with
@@ -74,7 +74,7 @@
 ///    must report identical racy-location sets — that feeds the trace's
 ///    `agreement` flag — and the JSON's per-trace `epoch_ab` section
 ///    carries both throughputs, the cold speedup, and the steady
-///    allocation rate; scripts/check_epoch_gate.py gates all of it.
+///    allocation rate; scripts/check_bench_gates.py gates all of it.
 ///
 /// `--smoke` shrinks every trace for CI; `--reps=N` sets the repetition
 /// count (default 3, 1 under --smoke); `--out=PATH` writes the JSON report
@@ -218,7 +218,7 @@ void emitReferenceStream(RuntimeHooks &Sink, const RefParams &P) {
 }
 
 /// Synthesizes the capacity plan for the reference stream from its own
-/// parameters — the stand-in for `--plan=auto` on a trace that has no
+/// parameters — the stand-in for planDetector on a trace that has no
 /// program behind it.  The location count is exact (every (object, field)
 /// pair is touched); the trie sizing uses the measured full-run density of
 /// ~54 nodes per location, rounded up to 64.
@@ -654,7 +654,7 @@ int main(int argc, char **argv) {
     Rec.Path = Path;
     Rec.Events = Writer.recordsWritten();
     Rec.Bytes = Writer.bytesWritten();
-    // The analysis-driven plan — the same computation `--plan=auto` runs
+    // The analysis-driven plan — the same computation a live run makes
     // inside the pipeline's analysis phase.
     StaticRaceAnalysis Races(W.P);
     Races.run();

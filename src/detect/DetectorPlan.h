@@ -67,7 +67,7 @@ struct DetectorPlan {
   /// interner, not per shard.
   std::vector<SortedIdSet<LockId>> PreinternLocksets;
 
-  /// True when the plan carries no hints at all (plan=off, or replay
+  /// True when the plan carries no hints at all (replay, or a live run
   /// without analysis results).
   bool empty() const {
     return ExpectedLocations == 0 && ExpectedSharedLocations == 0 &&
@@ -77,9 +77,10 @@ struct DetectorPlan {
   }
 
   /// A copy with every field capped at a sane ceiling, so a hostile or
-  /// buggy plan (e.g. `--plan=<huge>`) cannot commit unbounded memory
-  /// up front.  The caps are far above every workload in this repo but
-  /// keep worst-case reservation in the hundreds of MB, not exabytes.
+  /// buggy plan (e.g. one built by hand with huge counts) cannot commit
+  /// unbounded memory up front.  The caps are far above every workload in
+  /// this repo but keep worst-case reservation in the hundreds of MB, not
+  /// exabytes.
   DetectorPlan clamped() const {
     DetectorPlan P = *this;
     P.ExpectedLocations = std::min(P.ExpectedLocations, MaxLocations);
@@ -90,19 +91,6 @@ struct DetectorPlan {
     P.ExpectedThreads = std::min(P.ExpectedThreads, MaxThreads);
     P.ExpectedLocksets = std::min(P.ExpectedLocksets, MaxLocksets);
     return P;
-  }
-
-  /// The explicit-size plan behind `--plan=N`: expect \p Locations
-  /// locations, all shared, with trie storage derived from the paper's
-  /// observation that histories stay shallow (about two nodes and two
-  /// edge slots per shared location in every measured workload).
-  static DetectorPlan sized(uint64_t Locations) {
-    DetectorPlan P;
-    P.ExpectedLocations = Locations;
-    P.ExpectedSharedLocations = Locations;
-    P.ExpectedTrieNodes = Locations * 2;
-    P.ExpectedTrieEdges = Locations * 2;
-    return P.clamped();
   }
 
   /// The slice of this plan that one of \p NumShards shard detectors

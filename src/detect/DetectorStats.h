@@ -63,7 +63,8 @@ struct ThreadCacheStats {
 /// event batching.  With the filter enabled, every traced access is either
 /// an L0 hit or reaches the runtime, so
 ///   InterpResult::AccessEvents == FilterHits + RaceRuntimeStats::EventsSeen
-/// holds exactly (the coherence clause scripts/check_hook_gate.py checks).
+/// holds exactly (the hook.events-reconcile row of
+/// scripts/check_bench_gates.py checks it).
 struct HookPathStats {
   bool FilterEnabled = false;
   uint64_t FilterHits = 0;       ///< accesses filtered before event creation

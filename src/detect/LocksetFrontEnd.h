@@ -66,7 +66,8 @@ struct RaceRuntimeOptions {
   /// detector-side cache, so without it the probe stays off.
   bool HookFilter = false;
 
-  /// Capacity hints from static analysis (`herd --plan=auto|off|N`).
+  /// Capacity hints from static analysis (planDetector; live runs plan
+  /// whenever the static phase ran, replay runs stay unplanned).
   /// Applied to the detector(s), interner and thread table at
   /// construction; an empty plan means on-demand growth.
   DetectorPlan Plan;

@@ -21,10 +21,6 @@ const char *herd::herdUsageText() {
       "                    workers (default: serial runtime)\n"
       "  --cache-size=<n>  entries per per-thread access cache; power of\n"
       "                    two (default 256, the paper's Section 4.3)\n"
-      "  --plan=<mode>     detector capacity planning: auto (default;\n"
-      "                    pre-size from the static race set) | off (grow\n"
-      "                    on demand, for A/B) | <n> (size for n expected\n"
-      "                    locations; the only mode --replay can honour)\n"
       "  --sweep=<n>       run n seeds and summarize the reports\n"
       "  --record=<file>   also stream the run's events to a trace file\n"
       "                    (docs/REPLAY.md)\n"
@@ -107,11 +103,9 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
   HerdOptions &O = Result.Opts;
 
   // Deferred flags: presets must not clobber explicit --shards /
-  // --cache-size / --plan no matter the flag order, so all apply after
-  // the loop.
+  // --cache-size no matter the flag order, so all apply after the loop.
   uint32_t Shards = 0;    // 0 = serial runtime
   uint32_t CacheSize = 0; // 0 = keep the config's default
-  std::string PlanArg;    // empty = keep the config's default (auto)
   bool HaveDispatch = false;
   DispatchMode Dispatch = DispatchMode::Threaded;
   bool HaveHookFilter = false;
@@ -146,17 +140,6 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
                     "[1, 2^20], got '" +
                     Arg.substr(13) + "'");
       CacheSize = uint32_t(N);
-    } else if (Arg.rfind("--plan=", 0) == 0) {
-      PlanArg = Arg.substr(7);
-      if (PlanArg != "auto" && PlanArg != "off") {
-        char *End = nullptr;
-        unsigned long long N = std::strtoull(PlanArg.c_str(), &End, 10);
-        if (PlanArg.empty() || End == PlanArg.c_str() || *End != '\0' ||
-            N == 0)
-          return fail("herd: --plan expects auto, off, or a positive "
-                      "location count, got '" +
-                      PlanArg + "'");
-      }
     } else if (Arg.rfind("--sweep=", 0) == 0) {
       // atoi would fold '--sweep=5x' to 5 and '--sweep=-3' or garbage to
       // a dead sweep of 0 — every malformed count must be an error, not a
@@ -300,16 +283,6 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
   O.Config.RecordTracePath = O.RecordPath;
   if (CacheSize != 0)
     O.Config.CacheEntries = CacheSize;
-  if (!PlanArg.empty()) {
-    if (PlanArg == "auto") {
-      O.Config.Plan = ToolConfig::PlanMode::Auto;
-    } else if (PlanArg == "off") {
-      O.Config.Plan = ToolConfig::PlanMode::Off;
-    } else {
-      O.Config.Plan = ToolConfig::PlanMode::Explicit;
-      O.Config.PlanLocations = std::strtoull(PlanArg.c_str(), nullptr, 10);
-    }
-  }
   if (HaveDispatch)
     O.Config.Dispatch = Dispatch;
   if (HaveHookFilter)

@@ -12,7 +12,7 @@
 /// spawning the binary.
 ///
 /// Parsing preserves the tool's long-standing rules: presets (`--config`)
-/// are applied first and never clobber explicit `--cache-size` / `--plan`
+/// are applied first and never clobber explicit `--shards` / `--cache-size`
 /// flags regardless of order; `--replay` excludes `--sweep` and
 /// `--record`; `--detector` requires `--replay`; numeric flags are
 /// validated eagerly with the same messages the tool always printed.

@@ -326,16 +326,6 @@ void collectDeadlockResults(const Program &Input, DeadlockDetector &Deadlocks,
   }
 }
 
-/// Resolves the plan the non-Auto modes can provide without analysis
-/// results: Explicit sizes from the CLI; Off and (analysis-less) Auto are
-/// empty.  runPipeline overrides Auto with planDetector when the static
-/// phase ran.
-DetectorPlan configuredPlan(const ToolConfig &Config) {
-  if (Config.Plan == ToolConfig::PlanMode::Explicit)
-    return DetectorPlan::sized(Config.PlanLocations);
-  return DetectorPlan();
-}
-
 /// The shared report-formatting phase: renders the human lines (optionally
 /// provenance-enriched) and builds the deduplicated ReportEntry list the
 /// document renderers consume.  \p TheHeap may be null (replay runs).
@@ -530,7 +520,7 @@ PipelineResult herd::runPipeline(const Program &Input,
   // Phase 1+2: static analysis and instrumentation, on a private copy.
   Program P = Input;
   MetricsRegistry *Metrics = Config.Metrics;
-  DetectorPlan Plan = configuredPlan(Config);
+  DetectorPlan Plan;
   Clock::time_point T0 = Clock::now();
   if (Config.Instrument) {
     std::unique_ptr<StaticRaceAnalysis> Races;
@@ -545,7 +535,7 @@ PipelineResult herd::runPipeline(const Program &Input,
       // capacity hints so the detector pre-sizes instead of growing
       // through the cold pass (charged to analysis time, where it
       // belongs — it is the analysis paying for runtime efficiency).
-      if (Config.Plan == ToolConfig::PlanMode::Auto) {
+      {
         Span PlanSpan(Metrics, "plan");
         Plan = planDetector(P, *Races);
       }
@@ -642,11 +632,11 @@ PipelineResult herd::replayTracePipeline(const Program &Input,
 
   // Build the same detection assembly a live run with this Config would
   // use; the trace replaces the interpreter as the event source, so the
-  // compile-time phases are skipped entirely.  Auto planning needs those
-  // phases, so replay only honours an Explicit plan (`--plan=N`).  v1
-  // traces carry sites on monitor-enter / thread-create records, so
-  // replayed runs can capture the same provenance a live run would.
-  DetectionAssembly Detection(Config, configuredPlan(Config),
+  // compile-time phases are skipped entirely.  Planning needs the static
+  // race set those phases compute, so replay runs unplanned.  v1 traces
+  // carry sites on monitor-enter / thread-create records, so replayed
+  // runs can capture the same provenance a live run would.
+  DetectionAssembly Detection(Config, DetectorPlan(),
                               /*Observed=*/true, /*Recorder=*/nullptr);
   RuntimeHooks *Sink = Detection.hooks();
 

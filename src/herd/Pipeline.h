@@ -79,16 +79,6 @@ struct ToolConfig {
   enum class DetectorBackend : uint8_t { Herd, Epoch };
   DetectorBackend Backend = DetectorBackend::Herd;
 
-  /// Capacity planning for the detection runtime (`herd --plan=auto|off|N`).
-  /// Auto derives a DetectorPlan from the static analysis (requires
-  /// Instrument && StaticAnalysis; otherwise no plan is applied); Off
-  /// disables pre-sizing for A/B comparison; Explicit sizes for
-  /// PlanLocations expected locations without consulting the analysis.
-  /// Plans never change race reports — only when memory is allocated.
-  enum class PlanMode : uint8_t { Auto, Off, Explicit };
-  PlanMode Plan = PlanMode::Auto;
-  uint64_t PlanLocations = 0; ///< used only with PlanMode::Explicit
-
   /// Also run the lock-order deadlock detector (the Section 10 extension)
   /// over the same monitor event stream.
   bool DetectDeadlocks = false;

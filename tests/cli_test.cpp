@@ -47,7 +47,6 @@ TEST(CliTest, DefaultsForPlainRun) {
   EXPECT_EQ(P.Opts.Detector, "herd");
   EXPECT_EQ(P.Opts.Config.Shards, 0u);
   EXPECT_EQ(P.Opts.Config.CacheEntries, 256u);
-  EXPECT_EQ(P.Opts.Config.Plan, ToolConfig::PlanMode::Auto);
   EXPECT_FALSE(P.Opts.Stats);
   EXPECT_FALSE(P.Opts.StatsJson);
   EXPECT_FALSE(P.Opts.Profile);
@@ -58,7 +57,7 @@ TEST(CliTest, DefaultsForPlainRun) {
 
 TEST(CliTest, AllFlagsLand) {
   HerdParse P = parse({"--workload=mtrt", "--seed=9", "--shards=4",
-                       "--cache-size=512", "--plan=1000", "--deadlocks",
+                       "--cache-size=512", "--deadlocks",
                        "--stats", "--trace-json=t.json", "--profile"});
   ASSERT_EQ(P.St, HerdParse::Status::Run) << P.Error;
   EXPECT_EQ(P.Opts.WorkloadName, "mtrt");
@@ -66,8 +65,6 @@ TEST(CliTest, AllFlagsLand) {
   EXPECT_EQ(P.Opts.Config.Seed, 9u);
   EXPECT_EQ(P.Opts.Config.Shards, 4u);
   EXPECT_EQ(P.Opts.Config.CacheEntries, 512u);
-  EXPECT_EQ(P.Opts.Config.Plan, ToolConfig::PlanMode::Explicit);
-  EXPECT_EQ(P.Opts.Config.PlanLocations, 1000u);
   EXPECT_TRUE(P.Opts.Config.DetectDeadlocks);
   EXPECT_TRUE(P.Opts.Stats);
   EXPECT_EQ(P.Opts.TraceJsonPath, "t.json");
@@ -89,15 +86,14 @@ TEST(CliTest, HelpShortCircuits) {
   EXPECT_EQ(parse({"--help"}).St, HerdParse::Status::Help);
   EXPECT_EQ(parse({"-h"}).St, HerdParse::Status::Help);
   // --help wins even on an otherwise-broken command line.
-  EXPECT_EQ(parse({"--plan=bogus", "--help"}).St, HerdParse::Status::Error);
-  EXPECT_EQ(parse({"--help", "--plan=bogus"}).St, HerdParse::Status::Help);
+  EXPECT_EQ(parse({"--seed=bogus", "--help"}).St, HerdParse::Status::Error);
+  EXPECT_EQ(parse({"--help", "--seed=bogus"}).St, HerdParse::Status::Help);
 }
 
 TEST(CliTest, UsageTextMentionsEveryFlag) {
   std::string Usage = herdUsageText();
   for (const char *Flag :
-       {"--config=", "--seed=", "--shards=", "--cache-size=", "--plan=",
-        "--sweep=", "--record=", "--replay=", "--detector=", "--deadlocks",
+       {"--config=", "--seed=", "--shards=", "--cache-size=", "--sweep=", "--record=", "--replay=", "--detector=", "--deadlocks",
         "--stats", "--trace-json=", "--profile", "--dispatch=",
         "--hook-filter=", "--report=", "--provenance=", "--dump-ir",
         "--workload="})
@@ -123,7 +119,7 @@ TEST(CliTest, DispatchModes) {
 }
 
 TEST(CliTest, DispatchSurvivesPreset) {
-  // Like --shards/--plan, an explicit --dispatch must survive a later
+  // Like --shards/--cache-size, an explicit --dispatch must survive a later
   // --config preset (which rebuilds the whole ToolConfig).
   HerdParse P = parse({"p.mj", "--dispatch=switch", "--config=base"});
   ASSERT_EQ(P.St, HerdParse::Status::Run) << P.Error;
@@ -215,7 +211,7 @@ TEST(CliTest, ProvenanceSurvivesPreset) {
 
 TEST(CliTest, HookFilterSurvivesPreset) {
   // An explicit --hook-filter must survive a later --config preset (which
-  // rebuilds the whole ToolConfig), like --dispatch/--shards/--plan.
+  // rebuilds the whole ToolConfig), like --dispatch/--shards.
   HerdParse P = parse({"p.mj", "--hook-filter=off", "--config=full"});
   ASSERT_EQ(P.St, HerdParse::Status::Run) << P.Error;
   EXPECT_FALSE(P.Opts.Config.HookFilter);
@@ -227,13 +223,13 @@ TEST(CliTest, HookFilterSurvivesPreset) {
 
 TEST(CliTest, PresetAfterFlagDoesNotClobber) {
   // --config resets the whole ToolConfig; explicit --shards/--cache-size/
-  // --plan must survive no matter where the preset sits.
-  HerdParse P = parse({"p.mj", "--shards=3", "--cache-size=64", "--plan=off",
-                       "--config=nocache"});
+  // --dispatch must survive no matter where the preset sits.
+  HerdParse P = parse({"p.mj", "--shards=3", "--cache-size=64",
+                       "--dispatch=switch", "--config=nocache"});
   ASSERT_EQ(P.St, HerdParse::Status::Run) << P.Error;
   EXPECT_EQ(P.Opts.Config.Shards, 3u);
   EXPECT_EQ(P.Opts.Config.CacheEntries, 64u);
-  EXPECT_EQ(P.Opts.Config.Plan, ToolConfig::PlanMode::Off);
+  EXPECT_EQ(P.Opts.Config.Dispatch, DispatchMode::Switch);
   EXPECT_FALSE(P.Opts.Config.UseCache); // the preset still applied
 }
 
@@ -264,6 +260,10 @@ TEST(CliTest, UnknownOptionShowsUsage) {
   HerdParse P = parse({"p.mj", "--frobnicate"});
   expectError(P, "herd: unknown option '--frobnicate'");
   EXPECT_TRUE(P.ShowUsage);
+  // Capacity planning is not a flag: live runs always plan from the
+  // static race set.
+  expectError(parse({"p.mj", "--plan=off"}),
+              "herd: unknown option '--plan=off'");
 }
 
 TEST(CliTest, BadShards) {
@@ -285,19 +285,6 @@ TEST(CliTest, BadCacheSize) {
   EXPECT_EQ(parse({"p.mj", "--cache-size=1"}).St, HerdParse::Status::Run);
   EXPECT_EQ(parse({"p.mj", "--cache-size=1048576"}).St,
             HerdParse::Status::Run);
-}
-
-TEST(CliTest, BadPlan) {
-  const std::string Msg =
-      "herd: --plan expects auto, off, or a positive location count, got '";
-  expectError(parse({"p.mj", "--plan=maybe"}), Msg + "maybe'");
-  expectError(parse({"p.mj", "--plan=0"}), Msg + "0'");
-  expectError(parse({"p.mj", "--plan="}), Msg + "'");
-  expectError(parse({"p.mj", "--plan=12x"}), Msg + "12x'");
-  EXPECT_EQ(parse({"p.mj", "--plan=auto"}).Opts.Config.Plan,
-            ToolConfig::PlanMode::Auto);
-  EXPECT_EQ(parse({"p.mj", "--plan=off"}).Opts.Config.Plan,
-            ToolConfig::PlanMode::Off);
 }
 
 TEST(CliTest, BadSweep) {

@@ -8,16 +8,16 @@
 /// The DetectorPlan layer's regression net.  Three concerns:
 ///
 ///  * Equivalence — a plan pre-sizes memory, it must never change what is
-///    reported.  `--plan=off` vs `--plan=auto` vs `--plan=N` must produce
-///    byte-identical formatted race reports across serial/sharded and
-///    live/replay on the hand-written test programs, the fuzz corpus and
-///    the benchmark replicas.
+///    reported.  A live run plans from the static race set; a replay of its
+///    recorded trace runs unplanned.  Both must report the same race
+///    records in the same order, serial and sharded, on the hand-written
+///    test programs, the fuzz corpus and the benchmark replicas.
 ///
 ///  * Reserve arithmetic — FlatTable::capacityFor / Arena::chunksFor and
 ///    their reserve() counterparts at the edges (zero, load-factor
 ///    boundaries, saturation at SIZE_MAX).
 ///
-///  * Plan arithmetic — clamped() caps, sized(), forShard() slicing.
+///  * Plan arithmetic — empty(), clamped() caps, forShard() slicing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +25,10 @@
 #include "TempPath.h"
 #include "TestPrograms.h"
 #include "analysis/DetectorPlanner.h"
+#include "detect/EventLog.h"
+#include "detect/RaceRuntime.h"
+#include "detect/ShardedRuntime.h"
+#include "detect/TraceFile.h"
 #include "herd/Pipeline.h"
 #include "support/Arena.h"
 #include "support/FlatTable.h"
@@ -47,101 +51,61 @@ namespace {
 // Equivalence: plans never change reports
 //===----------------------------------------------------------------------===
 
-/// Runs \p P live under \p Config with every plan mode and expects
-/// byte-identical formatted race reports; returns the plan=off reports.
-std::vector<std::string> expectPlanInvariantLive(const Program &P,
-                                                 ToolConfig Config) {
-  Config.Plan = ToolConfig::PlanMode::Off;
-  PipelineResult Off = runPipeline(P, Config);
-  EXPECT_TRUE(Off.Run.Ok) << Off.Run.Error;
+/// The reporter's records in report order, one key each: the fingerprint
+/// (sites, kinds, field) plus the full location (object included).
+/// Formatted races are not comparable across live and replay: the trace
+/// does not carry the heap's class names.
+std::vector<std::string> recordKeys(const RaceReporter &Reports) {
+  std::vector<std::string> Keys;
+  for (const RaceRecord &Rec : Reports.records())
+    Keys.push_back(std::to_string(Rec.Fingerprint) + "@" +
+                   std::to_string(Rec.Location.raw()));
+  return Keys;
+}
 
-  Config.Plan = ToolConfig::PlanMode::Auto;
-  PipelineResult Auto = runPipeline(P, Config);
-  EXPECT_TRUE(Auto.Run.Ok) << Auto.Run.Error;
-  EXPECT_EQ(Off.FormattedRaces, Auto.FormattedRaces);
-
-  Config.Plan = ToolConfig::PlanMode::Explicit;
-  Config.PlanLocations = 512;
-  PipelineResult Explicit = runPipeline(P, Config);
-  EXPECT_TRUE(Explicit.Run.Ok) << Explicit.Run.Error;
-  EXPECT_EQ(Off.FormattedRaces, Explicit.FormattedRaces);
-  return Off.FormattedRaces;
+/// Runs \p P live under \p Config, planned from the static race set and
+/// recording its trace, then replays that trace unplanned; serial and
+/// sharded.  The two runs must report identical records in order.
+void expectPlanInvariantLive(const Program &P, ToolConfig Config) {
+  const std::string Path = tempPath("herd_plan_test.trace");
+  for (uint32_t Shards : {0u, 3u}) {
+    SCOPED_TRACE(std::to_string(Shards) + " shards");
+    Config.Shards = Shards;
+    Config.RecordTracePath = Path;
+    PipelineResult Planned = runPipeline(P, Config);
+    ASSERT_TRUE(Planned.Run.Ok) << Planned.Run.Error;
+    ASSERT_TRUE(Planned.Trace.Ok) << Planned.Trace.Error;
+    Config.RecordTracePath.clear();
+    PipelineResult Unplanned = replayTracePipeline(P, Config, Path);
+    ASSERT_TRUE(Unplanned.Run.Ok) << Unplanned.Run.Error;
+    EXPECT_EQ(recordKeys(Planned.Reports), recordKeys(Unplanned.Reports));
+    EXPECT_EQ(Planned.Stats.Detector.RacesReported,
+              Unplanned.Stats.Detector.RacesReported);
+  }
+  std::remove(Path.c_str());
 }
 
 TEST(PlanEquivalence, HandWrittenProgramsSerialAndSharded) {
   for (bool SamePQ : {true, false}) {
-    Program P = buildFigure2(SamePQ);
-    for (uint32_t Shards : {0u, 3u}) {
-      SCOPED_TRACE(std::string(SamePQ ? "samePQ" : "distinctPQ") + "/" +
-                   std::to_string(Shards) + " shards");
-      ToolConfig Config = ToolConfig::full();
-      Config.Shards = Shards;
-      expectPlanInvariantLive(P, Config);
-    }
+    SCOPED_TRACE(SamePQ ? "samePQ" : "distinctPQ");
+    expectPlanInvariantLive(buildFigure2(SamePQ), ToolConfig::full());
   }
 }
 
 TEST(PlanEquivalence, FuzzCorpusSerialAndSharded) {
   for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
-    Program P = generateProgram(Seed);
-    for (uint32_t Shards : {0u, 2u}) {
-      SCOPED_TRACE("seed " + std::to_string(Seed) + "/" +
-                   std::to_string(Shards) + " shards");
-      ToolConfig Config = ToolConfig::full();
-      Config.Shards = Shards;
-      Config.Seed = Seed;
-      expectPlanInvariantLive(P, Config);
-    }
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    ToolConfig Config = ToolConfig::full();
+    Config.Seed = Seed;
+    expectPlanInvariantLive(generateProgram(Seed), Config);
   }
 }
 
 TEST(PlanEquivalence, WorkloadReplicas) {
   for (Workload &W : buildAllWorkloads(1)) {
     SCOPED_TRACE(W.Name);
-    ToolConfig Config = ToolConfig::full();
-    std::vector<std::string> Races = expectPlanInvariantLive(W.P, Config);
-    // The replicas' expected racy-object counts double-check that the
-    // planned runs still report the full result set, not a truncation.
-    (void)Races;
+    expectPlanInvariantLive(W.P, ToolConfig::full());
   }
-}
-
-TEST(PlanEquivalence, ReplayHonorsExplicitPlan) {
-  // Record once (plan=auto live), then replay with plan off and with an
-  // explicit plan: identical reports.  Replay has no analysis results, so
-  // Auto degrades to no plan there — also checked.
-  Program P = buildFigure2(/*SamePQ=*/true);
-  std::string Path = tempPath("herd_plan_test.trace");
-  ToolConfig Config = ToolConfig::full();
-  Config.RecordTracePath = Path;
-  PipelineResult Live = runPipeline(P, Config);
-  ASSERT_TRUE(Live.Run.Ok) << Live.Run.Error;
-  ASSERT_TRUE(Live.Trace.Ok) << Live.Trace.Error;
-  Config.RecordTracePath.clear();
-
-  for (uint32_t Shards : {0u, 2u}) {
-    SCOPED_TRACE(std::to_string(Shards) + " shards");
-    Config.Shards = Shards;
-    Config.Plan = ToolConfig::PlanMode::Off;
-    PipelineResult Off = replayTracePipeline(P, Config, Path);
-    ASSERT_TRUE(Off.Run.Ok) << Off.Run.Error;
-    // Replay formats objects without class names (the trace does not carry
-    // allocation classes), so compare counts against live and bytes only
-    // among replays.
-    EXPECT_EQ(Off.FormattedRaces.size(), Live.FormattedRaces.size());
-
-    Config.Plan = ToolConfig::PlanMode::Auto;
-    PipelineResult Auto = replayTracePipeline(P, Config, Path);
-    ASSERT_TRUE(Auto.Run.Ok) << Auto.Run.Error;
-    EXPECT_EQ(Auto.FormattedRaces, Off.FormattedRaces);
-
-    Config.Plan = ToolConfig::PlanMode::Explicit;
-    Config.PlanLocations = 4096;
-    PipelineResult Explicit = replayTracePipeline(P, Config, Path);
-    ASSERT_TRUE(Explicit.Run.Ok) << Explicit.Run.Error;
-    EXPECT_EQ(Explicit.FormattedRaces, Off.FormattedRaces);
-  }
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===
@@ -255,16 +219,30 @@ TEST(TrieEdgePoolReserve, ReserveCoversSubsequentBlocks) {
 // DetectorPlan arithmetic
 //===----------------------------------------------------------------------===
 
-TEST(DetectorPlanTest, EmptyAndSized) {
+/// A plan sized by hand for \p Locations locations, all shared, with two
+/// trie nodes and two edge slots per location (histories stay shallow).
+DetectorPlan handMadePlan(uint64_t Locations) {
   DetectorPlan P;
-  EXPECT_TRUE(P.empty());
-  DetectorPlan S = DetectorPlan::sized(100);
-  EXPECT_FALSE(S.empty());
-  EXPECT_EQ(S.ExpectedLocations, 100u);
-  EXPECT_EQ(S.ExpectedSharedLocations, 100u);
-  EXPECT_EQ(S.ExpectedTrieNodes, 200u);
-  EXPECT_EQ(S.ExpectedTrieEdges, 200u);
-  EXPECT_EQ(DetectorPlan::sized(0).ExpectedLocations, 0u);
+  P.ExpectedLocations = P.ExpectedSharedLocations = Locations;
+  P.ExpectedTrieNodes = P.ExpectedTrieEdges = Locations * 2;
+  return P;
+}
+
+TEST(DetectorPlanTest, EmptyAndSized) {
+  EXPECT_TRUE(DetectorPlan().empty());
+  // Any single hint makes a plan non-empty.
+  for (uint64_t DetectorPlan::*Field :
+       {&DetectorPlan::ExpectedLocations,
+        &DetectorPlan::ExpectedSharedLocations,
+        &DetectorPlan::ExpectedTrieNodes, &DetectorPlan::ExpectedTrieEdges,
+        &DetectorPlan::ExpectedThreads, &DetectorPlan::ExpectedLocksets}) {
+    DetectorPlan P;
+    P.*Field = 1;
+    EXPECT_FALSE(P.empty());
+  }
+  DetectorPlan Preintern;
+  Preintern.PreinternLocksets.emplace_back();
+  EXPECT_FALSE(Preintern.empty());
 }
 
 TEST(DetectorPlanTest, ClampedCapsHostileValues) {
@@ -281,13 +259,10 @@ TEST(DetectorPlanTest, ClampedCapsHostileValues) {
   EXPECT_EQ(C.ExpectedTrieNodes, uint64_t(1) << 24);
   EXPECT_EQ(C.ExpectedThreads, 4096u);
   EXPECT_EQ(C.ExpectedLocksets, uint64_t(1) << 20);
-  // sized() goes through clamped() already.
-  EXPECT_EQ(DetectorPlan::sized(~uint64_t(0)).ExpectedLocations,
-            uint64_t(1) << 22);
 }
 
 TEST(DetectorPlanTest, ForShardSlicesWithHeadroom) {
-  DetectorPlan P = DetectorPlan::sized(1000);
+  DetectorPlan P = handMadePlan(1000);
   P.ExpectedThreads = 7;
   P.ExpectedLocksets = 99;
   DetectorPlan S = P.forShard(0, 4);
@@ -419,31 +394,59 @@ TEST(PlannerDepthTest, NestedSyncScalesPlannedTrieBudget) {
 
 TEST(PlannerDepthTest, DeepNestingStillReportsIdentically) {
   // The wider budget is a hint: plans must not change reports.
-  Program P = buildNestedSyncRace(4);
-  ToolConfig Config = ToolConfig::full();
-  expectPlanInvariantLive(P, Config);
+  expectPlanInvariantLive(buildNestedSyncRace(4), ToolConfig::full());
 }
 
 //===----------------------------------------------------------------------===
 // Plan application: pre-sizing is observable, reports unchanged
 //===----------------------------------------------------------------------===
 
+void expectSameDetection(const RaceRuntimeStats &A,
+                         const RaceRuntimeStats &B) {
+  EXPECT_EQ(A.EventsSeen, B.EventsSeen);
+  EXPECT_EQ(A.Detector.EventsIn, B.Detector.EventsIn);
+  EXPECT_EQ(A.Detector.RacesReported, B.Detector.RacesReported);
+  EXPECT_EQ(A.Detector.TrieNodes, B.Detector.TrieNodes);
+}
+
 TEST(PlanApplication, RuntimeHonorsPlanWithoutChangingStats) {
-  // Same trace-free live run twice, with and without a generous plan: the
-  // detector counters (events, races, nodes) must match exactly.
+  // One recorded event stream replayed into serial and sharded runtimes,
+  // each built with and without a generous hand-made plan: the detector
+  // counters and the race records must match exactly.
   Program P = buildFigure2(/*SamePQ=*/true);
+  const std::string Path = tempPath("herd_plan_application.trace");
   ToolConfig Config = ToolConfig::full();
-  Config.Plan = ToolConfig::PlanMode::Off;
-  PipelineResult Off = runPipeline(P, Config);
-  Config.Plan = ToolConfig::PlanMode::Explicit;
-  Config.PlanLocations = 1 << 14;
-  PipelineResult On = runPipeline(P, Config);
-  ASSERT_TRUE(Off.Run.Ok && On.Run.Ok);
-  EXPECT_EQ(Off.Stats.EventsSeen, On.Stats.EventsSeen);
-  EXPECT_EQ(Off.Stats.Detector.EventsIn, On.Stats.Detector.EventsIn);
-  EXPECT_EQ(Off.Stats.Detector.RacesReported,
-            On.Stats.Detector.RacesReported);
-  EXPECT_EQ(Off.Stats.Detector.TrieNodes, On.Stats.Detector.TrieNodes);
+  Config.RecordTracePath = Path;
+  ASSERT_TRUE(runPipeline(P, Config).Trace.Ok);
+  EventLog Log;
+  TraceResult Read = readTraceFile(Path, Log);
+  std::remove(Path.c_str());
+  ASSERT_TRUE(Read.Ok) << Read.Error;
+
+  RaceRuntimeOptions Opts;
+  RaceRuntimeOptions PlannedOpts = Opts;
+  PlannedOpts.Plan = handMadePlan(1 << 14);
+  PlannedOpts.Plan.ExpectedThreads = 8;
+  PlannedOpts.Plan.ExpectedLocksets = 64;
+
+  RaceRuntime Off(Opts), On(PlannedOpts);
+  Log.replayInto(Off);
+  Log.replayInto(On);
+  RaceRuntimeStats SerialStats = Off.stats();
+  expectSameDetection(SerialStats, On.stats());
+  EXPECT_EQ(recordKeys(Off.reporter()), recordKeys(On.reporter()));
+  ASSERT_GT(SerialStats.Detector.RacesReported, 0u);
+
+  ShardedRuntimeOptions ShardedOff, ShardedOn;
+  ShardedOff.NumShards = ShardedOn.NumShards = 2;
+  ShardedOff.Detection = Opts;
+  ShardedOn.Detection = PlannedOpts;
+  ShardedRuntime SOff(ShardedOff), SOn(ShardedOn);
+  Log.replayInto(SOff);
+  Log.replayInto(SOn);
+  expectSameDetection(SerialStats, SOff.stats());
+  expectSameDetection(SerialStats, SOn.stats());
+  EXPECT_EQ(recordKeys(SOff.reporter()), recordKeys(SOn.reporter()));
 }
 
 } // namespace
