@@ -49,16 +49,17 @@
 ///    checked-in baseline.
 ///
 ///  * A hook-path A/B (docs/HOOKPATH.md) — the threaded live run repeats
-///    with the hook fast path engaged: the interpreter delivers access
-///    events through the devirtualized sink with the inline L0 filter in
-///    front, exactly what a default `herd` invocation does.  The JSON's
-///    per-trace `hook_path` section carries the unfiltered and filtered
-///    live throughputs, the L0 hit rate, and the counter-reconciliation
+///    with the hook fast path engaged: the interpreter probes the running
+///    thread's access cache inline and delivers misses through the
+///    devirtualized sink, exactly what a default `herd` invocation does.
+///    The JSON's per-trace `hook_path` section carries the unfiltered and
+///    filtered live throughputs, the inline hit rate, and the
+///    counter-reconciliation
 ///    identity (access_events == filter_hits + events_delivered);
 ///    scripts/check_bench_gates.py gates both.
 ///
 ///  * A provenance A/B (docs/REPORTS.md) — each replica's default live
-///    configuration (devirtualized L0-filtered sink) repeats with
+///    configuration (devirtualized sink, inline cache probe) repeats with
 ///    `--provenance=on`: a ProvenanceStore fanned out next to the
 ///    detector, which disables the single-sink devirtualized lane.  The
 ///    JSON's per-trace `provenance_ab` section carries both throughputs
@@ -249,11 +250,11 @@ DetectorPlan refhotPlan(const RefParams &P) {
 /// to the same field.  After the first iteration every access is a
 /// detector-side cache hit, so under the fused threaded dispatch the
 /// per-event interpretation cost is a few nanoseconds and the hook path is
-/// what dominates a live run.  That makes this the trace where the L0
-/// filter's benefit is directly visible: the five replicas are
+/// what dominates a live run.  That makes this the trace where the
+/// inline probe's benefit is directly visible: the five replicas are
 /// interpretation-bound (live-vs-replay ratios well below 1), so their
 /// filtered/unfiltered live A/B hovers near 1.0x no matter how cheap the
-/// probe is; hotfield isolates the quantity this PR optimizes.
+/// probe is; hotfield isolates the hook path.
 Workload buildHotField(uint32_t Scale) {
   Workload W;
   W.Name = "hotfield";
@@ -269,7 +270,7 @@ Workload buildHotField(uint32_t Scale) {
   RegId N = B.emitConst(int64_t(20000) * Scale);
   B.forLoop(0, N, 1, [&](RegId) {
     // Eight read/write pairs: enough straight-line accesses that the loop
-    // bookkeeping amortizes away and the stream is ~100% L0 hits.
+    // bookkeeping amortizes away and the stream is ~100% inline hits.
     for (int K = 0; K != 8; ++K)
       B.emitPutField(Obj, F, B.emitGetField(Obj, F));
   });
@@ -312,12 +313,12 @@ struct LiveResult {
 };
 
 /// The hook-path A/B for one replica: the threaded live run with the
-/// legacy virtual hook path ("unfiltered") against the devirtualized
-/// L0-filtered fast path ("filtered"), plus the filter's own counters.
+/// virtual hook path ("unfiltered") against the devirtualized fast path
+/// with the inline cache probe ("filtered"), plus the probe's counters.
 struct HookPathResult {
   bool Present = false;
-  double UnfilteredEventsPerSec = 0; ///< virtual dispatch, no L0 probe
-  double FilteredEventsPerSec = 0;   ///< devirtualized sink + L0 filter
+  double UnfilteredEventsPerSec = 0; ///< virtual dispatch, no inline probe
+  double FilteredEventsPerSec = 0;   ///< devirtualized sink + inline probe
   double Speedup = 0;                ///< filtered ÷ unfiltered
   uint64_t AccessEvents = 0;         ///< interpreter-side emit count
   uint64_t FilterHits = 0;
@@ -334,7 +335,7 @@ struct HookPathResult {
 /// single-sink lane — the cost reported here is the honest total).
 struct ProvenanceAbResult {
   bool Present = false;
-  double OffEventsPerSec = 0; ///< default path (devirt sink + L0 filter)
+  double OffEventsPerSec = 0; ///< default path (devirt sink + inline probe)
   double OnEventsPerSec = 0;  ///< fanout of detector + ProvenanceStore
   double OverheadRatio = 0;   ///< off ÷ on (>= 1.0 means on is slower)
   uint64_t AccessesObserved = 0;
@@ -629,8 +630,8 @@ int main(int argc, char **argv) {
   // re-run each program.
   std::vector<Workload> Workloads = buildAllWorkloads(Smoke ? 1 : 4);
   // Plus the hook-bound synthetic (docs/HOOKPATH.md): the trace whose live
-  // run is dominated by hook cost rather than interpretation, where the L0
-  // filter's speedup is actually measurable.
+  // run is dominated by hook cost rather than interpretation, where the
+  // inline probe's speedup is actually measurable.
   Workloads.push_back(buildHotField(Smoke ? 1 : 4));
   for (Workload &W : Workloads) {
     std::string Path = "/tmp/herd_hotpath_" + W.Name + "." +
@@ -930,9 +931,9 @@ int main(int argc, char **argv) {
       }
 
       // Hook-path A/B (docs/HOOKPATH.md): the threaded live run again,
-      // now with the hook fast path engaged — the interpreter delivers
-      // access events through the devirtualized serial sink with the
-      // inline L0 filter in front, exactly what a default `herd`
+      // now with the hook fast path engaged — the interpreter probes the
+      // thread's access cache inline and delivers misses through the
+      // devirtualized serial sink, exactly what a default `herd`
       // invocation runs.  Same program, same schedule, same reports; the
       // only difference is how redundant events die.
       {
@@ -943,7 +944,6 @@ int main(int argc, char **argv) {
         for (uint32_t Rep = 0; Rep != Reps; ++Rep) {
           RaceRuntimeOptions LOpts;
           LOpts.Plan = T.Plan;
-          LOpts.HookFilter = true;
           FastRT = std::make_unique<RaceRuntime>(LOpts);
           InterpOptions IOpts;
           IOpts.TraceEveryAccess = true;
@@ -985,8 +985,8 @@ int main(int argc, char **argv) {
                      Serial->reporter().reportedLocations();
         Report.Agreement = Report.Agreement && Agree;
         std::printf("%-8s %-9s %-5s %12.0f %10s %12s %10s %10s  "
-                    "(%.2fx of unfiltered, %.0f%% L0 hits)\n",
-                    Report.Name.c_str(), "live[L0]", "cold",
+                    "(%.2fx of unfiltered, %.0f%% inline hits)\n",
+                    Report.Name.c_str(), "live[hook]", "cold",
                     HP.FilteredEventsPerSec, "-", "-", "-", "-",
                     HP.Speedup, 100.0 * HP.FilterHitRate);
         Report.HookPath = HP;
@@ -994,8 +994,8 @@ int main(int argc, char **argv) {
 
       // Provenance A/B (docs/REPORTS.md): the default filtered live path
       // again, now with a ProvenanceStore fanned out next to the
-      // detector.  Two sinks mean no devirtualized lane and no L0 filter
-      // — the overhead measured here is the honest total a
+      // detector.  Two sinks mean no devirtualized lane and no inline
+      // probe — the overhead measured here is the honest total a
       // `--provenance=on` user pays, not just the store's own cost.
       {
         ProvenanceAbResult PA;

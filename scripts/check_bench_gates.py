@@ -10,8 +10,8 @@ and trace.  The rows guard the paper's efficiency mechanisms:
              analysis-driven DetectorPlan (docs/PERFORMANCE.md);
  * dispatch  the threaded interpreter vs the switch reference
              interpreter and vs cold replay (docs/INTERPRETER.md);
- * hook      the L0 filter and devirtualized hook path, and provenance
-             capture as a pure listener (docs/HOOKPATH.md,
+ * hook      the inline cache probe and devirtualized hook path, and
+             provenance capture as a pure listener (docs/HOOKPATH.md,
              docs/REPORTS.md);
  * epoch     the epoch happens-before backend vs the vector-clock
              baseline it optimizes (docs/DETECTORS.md).
@@ -124,7 +124,7 @@ CLAUSES = [
     Clause("dispatch.baseline-live", "live_by_dispatch", EACH, None,
            "in-baseline", None, False),
 
-    # --- hook: every access event either died in the L0 filter or was
+    # --- hook: every access event either hit the inline probe or was
     # delivered to the detector, recomputed here rather than trusted.
     Clause("hook.keys", HOOK, EACH, (HOOK,), "has",
            Keys([(k,) for k in HOOK_KEYS]), False),

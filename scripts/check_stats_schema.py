@@ -21,7 +21,7 @@ import json
 import sys
 
 SCHEMA_NAME = "herd-stats"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Required key -> type (or tuple of types) per section.  Lists map each
 # element against the given element spec.
@@ -33,9 +33,6 @@ DETECTOR_KEYS = {
     "locations_tracked": int,
     "locations_shared": int,
     "trie_nodes": int,
-    "lockset_memo_hits": int,
-    "lockset_memo_misses": int,
-    "lockset_memo_evictions": int,
 }
 
 TOP_LEVEL_KEYS = {
@@ -164,9 +161,7 @@ def check_stats(doc):
     if isinstance(runtime.get("hook"), dict):
         check_keys(runtime["hook"],
                    {"filter_enabled": bool, "filter_hits": int,
-                    "filter_misses": int, "epoch_bumps": int,
-                    "key_invalidations": int, "batch_flushes": int,
-                    "batched_events": int},
+                    "filter_misses": int},
                    "runtime.hook")
     for i, shard in enumerate(doc.get("shards", [])):
         where = f"shards[{i}]"

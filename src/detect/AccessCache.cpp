@@ -25,18 +25,14 @@ void AccessCache::unlink(uint32_t Index) {
   E.ListLock = LockId::invalid();
 }
 
-std::optional<LocationKey> AccessCache::insert(LocationKey Key,
-                                               LockId InnermostLock) {
+void AccessCache::insert(LocationKey Key, LockId InnermostLock) {
   uint32_t Index = indexOf(Key);
   Entry &E = Entries[Index];
-  std::optional<LocationKey> Displaced;
   if (E.Valid) {
     // Conflict eviction: the doubly-linked list makes removal O(1)
     // (Section 4.2, last paragraph).
     ++Evictions;
     unlink(Index);
-    if (E.Key != Key)
-      Displaced = E.Key;
   }
   E.Key = Key;
   E.Valid = true;
@@ -55,7 +51,6 @@ std::optional<LocationKey> AccessCache::insert(LocationKey Key,
       It->second = Index;
     }
   }
-  return Displaced;
 }
 
 void AccessCache::evictLock(LockId Lock) {

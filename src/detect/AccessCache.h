@@ -33,7 +33,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -68,8 +67,7 @@ public:
   /// detector has already processed (Section 4.2) — same thread and kind by
   /// cache identity, lockset-subset by the per-lock eviction lists, and no
   /// intervening shared-transition by evictKey.  Unlike lookup(), no
-  /// counters move, so layered filters (the hook-path L0 filter) can use it
-  /// as their differential oracle without perturbing stats.
+  /// counters move.
   bool provesRedundant(LocationKey Key) const {
     const Entry &E = Entries[indexOf(Key)];
     return E.Valid && E.Key == Key;
@@ -78,10 +76,7 @@ public:
   /// Inserts \p Key, replacing whatever occupied its slot.  \p InnermostLock
   /// is the most recently acquired releasable lock currently held (invalid
   /// when none): the entry will be evicted when that lock is released.
-  /// Returns the key a conflict eviction displaced, if any, so layered
-  /// filters can drop their own entry for it and stay a subset of this
-  /// cache.
-  std::optional<LocationKey> insert(LocationKey Key, LockId InnermostLock);
+  void insert(LocationKey Key, LockId InnermostLock);
 
   /// Evicts every entry inserted under \p Lock (called on the final, i.e.
   /// non-nested, monitorexit of \p Lock).

@@ -96,9 +96,6 @@ public:
   DetectorStats stats() const {
     DetectorStats S = Stats;
     S.TrieNodes = Tries.Nodes.live();
-    S.LocksetMemoHits = Interner->memoHits();
-    S.LocksetMemoMisses = Interner->memoMisses();
-    S.LocksetMemoEvictions = Interner->memoEvictions();
     return S;
   }
 

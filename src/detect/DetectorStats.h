@@ -34,13 +34,6 @@ struct DetectorStats {
 
   /// Trie nodes currently allocated across all shared locations.
   size_t TrieNodes = 0;
-
-  // Bounded subset/intersect memo of the LockSetInterner the detector
-  // resolves against.  In the sharded runtime the interner is shared, so
-  // aggregation copies these once instead of summing per shard.
-  uint64_t LocksetMemoHits = 0;
-  uint64_t LocksetMemoMisses = 0;
-  uint64_t LocksetMemoEvictions = 0;
 };
 
 /// Per-thread access-cache counters (Section 4.3 reports hit rates per
@@ -58,21 +51,18 @@ struct ThreadCacheStats {
   }
 };
 
-/// Hook-path fast-path counters (docs/HOOKPATH.md): the inline L0 filter
-/// probed at the instrumentation site and the sharded runtime's per-thread
-/// event batching.  With the filter enabled, every traced access is either
-/// an L0 hit or reaches the runtime, so
+/// Hook-path fast-path counters (docs/HOOKPATH.md): the interpreter's
+/// inline probe of the Section 4.2 cache at the instrumentation site.  Its
+/// hits are the subset of CacheHits taken before any call into the
+/// runtime, so every traced access is either an inline hit or reaches the
+/// runtime:
 ///   InterpResult::AccessEvents == FilterHits + RaceRuntimeStats::EventsSeen
 /// holds exactly (the hook.events-reconcile row of
 /// scripts/check_bench_gates.py checks it).
 struct HookPathStats {
-  bool FilterEnabled = false;
-  uint64_t FilterHits = 0;       ///< accesses filtered before event creation
-  uint64_t FilterMisses = 0;     ///< probes that fell through to delivery
-  uint64_t EpochBumps = 0;       ///< whole-filter invalidations at sync ops
-  uint64_t KeyInvalidations = 0; ///< single-slot drops (shared/conflict)
-  uint64_t BatchFlushes = 0;     ///< staged-batch flushes (sharded only)
-  uint64_t BatchedEvents = 0;    ///< events that passed through staging
+  bool FilterEnabled = false;    ///< the inline probe was configured
+  uint64_t FilterHits = 0;       ///< inline cache hits (no delivery)
+  uint64_t FilterMisses = 0;     ///< inline probes handed to the miss path
 };
 
 /// Aggregate counters for one run (serial or sharded).

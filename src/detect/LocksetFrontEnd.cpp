@@ -6,10 +6,12 @@
 
 #include "detect/LocksetFrontEnd.h"
 
+#include <cassert>
+
 using namespace herd;
 
 LocksetFrontEnd::LocksetFrontEnd(const RaceRuntimeOptions &Opts)
-    : Opts(Opts), FilterOn(Opts.HookFilter && Opts.UseCache) {
+    : Opts(Opts) {
   if (uint64_t N = Opts.Plan.clamped().ExpectedThreads)
     Threads.reserve(size_t(N) + 1); // +1: thread ids are 1-based, slot 0 main
 }
@@ -43,8 +45,6 @@ void LocksetFrontEnd::onThreadCreate(ThreadId Child, ThreadId Parent,
     // life, so it is not tagged for cache eviction (see AccessCache docs).
     T.Locks.insert(dummyLockOf(Child));
     T.LocksDirty = true;
-    if (FilterOn)
-      T.Filter.bumpEpoch();
   }
 }
 
@@ -55,8 +55,6 @@ void LocksetFrontEnd::onThreadExit(ThreadId Dying) {
   ThreadState &T = threadState(Dying);
   T.Locks.erase(dummyLockOf(Dying));
   T.LocksDirty = true;
-  if (FilterOn)
-    T.Filter.bumpEpoch();
 }
 
 void LocksetFrontEnd::onThreadJoin(ThreadId Joiner, ThreadId Joined) {
@@ -68,8 +66,6 @@ void LocksetFrontEnd::onThreadJoin(ThreadId Joiner, ThreadId Joined) {
   ThreadState &T = threadState(Joiner);
   T.Locks.insert(dummyLockOf(Joined));
   T.LocksDirty = true;
-  if (FilterOn)
-    T.Filter.bumpEpoch();
 }
 
 void LocksetFrontEnd::onMonitorEnter(ThreadId Thread, LockId Lock,
@@ -81,8 +77,6 @@ void LocksetFrontEnd::onMonitorEnter(ThreadId Thread, LockId Lock,
   T.Locks.insert(Lock);
   T.LocksDirty = true;
   T.RealStack.push_back(Lock);
-  if (FilterOn)
-    T.Filter.bumpEpoch();
 }
 
 void LocksetFrontEnd::onMonitorExit(ThreadId Thread, LockId Lock,
@@ -96,11 +90,9 @@ void LocksetFrontEnd::onMonitorExit(ThreadId Thread, LockId Lock,
          "monitor releases must be LIFO (Java structured locking)");
   T.RealStack.pop_back();
   if (Opts.UseCache) {
-    T.ReadCache.evictLock(Lock);
-    T.WriteCache.evictLock(Lock);
+    T.Caches.Read.evictLock(Lock);
+    T.Caches.Write.evictLock(Lock);
   }
-  if (FilterOn)
-    T.Filter.bumpEpoch();
 }
 
 void LocksetFrontEnd::evictShared(LocationKey Key) {
@@ -109,34 +101,30 @@ void LocksetFrontEnd::evictShared(LocationKey Key) {
   for (auto &T : Threads) {
     if (!T)
       continue;
-    T->ReadCache.evictKey(Key);
-    T->WriteCache.evictKey(Key);
-    if (FilterOn)
-      T->Filter.invalidateKey(Key);
+    T->Caches.Read.evictKey(Key);
+    T->Caches.Write.evictKey(Key);
   }
 }
 
 RaceRuntimeStats LocksetFrontEnd::frontEndStats() const {
   RaceRuntimeStats S;
   S.EventsSeen = EventsSeen;
-  S.Hook.FilterEnabled = FilterOn;
   for (size_t Index = 0; Index < Threads.size(); ++Index) {
     const auto &T = Threads[Index];
     if (!T)
       continue;
-    S.CacheHits += T->ReadCache.hits() + T->WriteCache.hits();
-    S.CacheMisses += T->ReadCache.misses() + T->WriteCache.misses();
-    S.CacheEvictions += T->ReadCache.evictions() + T->WriteCache.evictions();
-    S.Hook.FilterHits += T->Filter.hits();
-    S.Hook.FilterMisses += T->Filter.misses();
-    S.Hook.EpochBumps += T->Filter.epochBumps();
-    S.Hook.KeyInvalidations += T->Filter.keyInvalidations();
+    const AccessCache &Read = T->Caches.Read, &Write = T->Caches.Write;
+    S.CacheHits += Read.hits() + Write.hits();
+    S.CacheMisses += Read.misses() + Write.misses();
+    S.CacheEvictions += Read.evictions() + Write.evictions();
+    S.Hook.FilterHits += T->Caches.InlineHits;
+    S.Hook.FilterMisses += T->Caches.InlineMisses;
     ThreadCacheStats TC;
     TC.Thread = uint32_t(Index);
-    TC.ReadHits = T->ReadCache.hits();
-    TC.ReadMisses = T->ReadCache.misses();
-    TC.WriteHits = T->WriteCache.hits();
-    TC.WriteMisses = T->WriteCache.misses();
+    TC.ReadHits = Read.hits();
+    TC.ReadMisses = Read.misses();
+    TC.WriteHits = Write.hits();
+    TC.WriteMisses = Write.misses();
     S.PerThreadCache.push_back(TC);
   }
   return S;

@@ -14,10 +14,10 @@
 /// per-thread dummy locks S_j (Section 2.3), keeps the per-thread
 /// read/write caches with evict-on-unlock (Section 4.2), evicts a location
 /// from every cache when it turns shared (the Section 7.2 soundness fix),
-/// and mirrors the caches in the hook-path L0 filter (docs/HOOKPATH.md).
-/// A runtime derives from it and supplies what happens to a cache miss:
-/// RaceRuntime hands it to its trie Detector; ShardedRuntime runs its
-/// OwnershipFilter and submits to the shard pool.
+/// and exposes the caches to the interpreter's inline probe
+/// (docs/HOOKPATH.md).  A runtime derives from it and supplies what
+/// happens to a cache miss: RaceRuntime hands it to its trie Detector;
+/// ShardedRuntime runs its OwnershipFilter and submits to the shard pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,15 +26,12 @@
 
 #include "detect/AccessCache.h"
 #include "detect/AccessEvent.h"
-#include "detect/AccessFilter.h"
 #include "detect/DetectorPlan.h"
 #include "detect/DetectorStats.h"
 #include "runtime/Hooks.h"
 #include "support/LockSetInterner.h"
 
-#include <cassert>
 #include <memory>
-#include <optional>
 #include <vector>
 
 namespace herd {
@@ -59,13 +56,6 @@ struct RaceRuntimeOptions {
   /// (`herd --cache-size=N`).  The paper's experiments use 256.
   uint32_t CacheEntries = 256;
 
-  /// Enable the hook-path fast path (`herd --hook-filter=on|off`,
-  /// docs/HOOKPATH.md): the L0 filter probed before onAccess, and in the
-  /// sharded runtime per-thread staged event batches.  The filter is
-  /// only effective together with UseCache: its differential oracle is the
-  /// detector-side cache, so without it the probe stays off.
-  bool HookFilter = false;
-
   /// Capacity hints from static analysis (planDetector; live runs plan
   /// whenever the static phase ran, replay runs stay unplanned).
   /// Applied to the detector(s), interner and thread table at
@@ -73,9 +63,37 @@ struct RaceRuntimeOptions {
   DetectorPlan Plan;
 };
 
-/// The lockset front end: the RuntimeHooks sync events, the cache half of
-/// onAccess, and the L0 filter.  Derived runtimes implement onAccess by
-/// calling handleAccess with their miss continuation.
+/// One thread's Section 4.2 caches, one per access kind, plus the
+/// counters of the interpreter's inline probe (docs/HOOKPATH.md).
+struct ThreadCaches {
+  explicit ThreadCaches(uint32_t Entries) : Read(Entries), Write(Entries) {}
+
+  AccessCache Read;
+  AccessCache Write;
+  uint64_t InlineHits = 0;   ///< redundant accesses dropped by probe()
+  uint64_t InlineMisses = 0; ///< probes handed on to the miss path
+
+  AccessCache &of(AccessKind Access) {
+    return Access == AccessKind::Read ? Read : Write;
+  }
+
+  /// The inline probe: the one lookup of \p Key in the cache of
+  /// \p Access's kind.  True iff the access is redundant and needs no
+  /// delivery; on false the caller enters the concrete runtime's
+  /// onProbeMiss, which skips the lookup.
+  bool probe(LocationKey Key, AccessKind Access) {
+    if (of(Access).lookup(Key)) {
+      ++InlineHits;
+      return true;
+    }
+    ++InlineMisses;
+    return false;
+  }
+};
+
+/// The lockset front end: the RuntimeHooks sync events and the cache half
+/// of onAccess.  Derived runtimes implement onAccess by calling
+/// handleAccess with their miss continuation.
 class LocksetFrontEnd : public RuntimeHooks {
 public:
   void onThreadCreate(ThreadId Child, ThreadId Parent, ObjectId ThreadObj,
@@ -87,51 +105,26 @@ public:
   void onMonitorExit(ThreadId Thread, LockId Lock, bool StillHeld) override;
 
   /// The interpreter's per-quantum probe handle (docs/HOOKPATH.md): the
-  /// running thread's L0 filter, hoisted into the dispatch loop so the
-  /// per-access probe is one register-resident pointer instead of a walk
-  /// through the thread table.  Null when the probe cannot be hoisted —
-  /// filter off, or FieldsMerged, whose key transform the filterHit
-  /// fallback performs.  Creates the thread's state on first use; the
-  /// returned address is stable for the thread's lifetime (state is
-  /// heap-allocated) and every invalidation channel mutates the
-  /// pointed-to filter in place.
-  AccessFilter *filterHandle(ThreadId Thread) {
-    if (!FilterOn || Opts.FieldsMerged)
+  /// running thread's cache pair, hoisted into the dispatch loop so the
+  /// per-access probe goes through one register-resident pointer instead
+  /// of the thread table.  Null when the probe cannot be hoisted — caches
+  /// off, or FieldsMerged, whose key transform the probe() fallback
+  /// performs.  Creates the thread's state on first use; the returned
+  /// address is stable for the thread's lifetime (state is heap-allocated)
+  /// and lock releases and shared transitions evict from the pointed-to
+  /// caches in place.
+  ThreadCaches *cacheHandle(ThreadId Thread) {
+    if (!Opts.UseCache || Opts.FieldsMerged)
       return nullptr;
-    return &threadState(Thread).Filter;
+    return &threadState(Thread).Caches;
   }
 
-  /// The differential oracle behind every L0 hit (debug builds assert it):
-  /// the detector-side cache must prove the same access redundant.
-  bool oracleHolds(ThreadId Thread, LocationKey Key,
-                   AccessKind Access) const {
-    const ThreadState *T = findThread(Thread);
-    return T && (Access == AccessKind::Read ? T->ReadCache : T->WriteCache)
-                    .provesRedundant(Key);
-  }
-
-  /// The devirtualized L0 probe (docs/HOOKPATH.md) for when the
-  /// interpreter cannot hoist the filter: applies the key transform, then
-  /// probes.  True iff the access is proven redundant and needs no
-  /// delivery; on false the caller delivers to the concrete runtime's
-  /// onAccess.  A null thread slot (first event from this thread) misses;
-  /// the full path creates it.
-  bool filterHit(ThreadId Thread, LocationKey Location, AccessKind Access) {
-    if (!FilterOn)
+  /// The inline probe for when the interpreter holds no handle: applies
+  /// the key transform, then probes.  Always false with caches off.
+  bool probe(ThreadId Thread, LocationKey Location, AccessKind Access) {
+    if (!Opts.UseCache)
       return false;
-    ThreadState *T = findThread(Thread);
-    if (!T)
-      return false;
-    LocationKey Key =
-        Opts.FieldsMerged ? Location.withFieldsMerged() : Location;
-    if (!T->Filter.probe(Key, Access))
-      return false;
-    // The differential oracle: an L0 hit must be backed by a resident
-    // detector-side cache entry, i.e. the full path would have proven the
-    // same access redundant (see docs/HOOKPATH.md).
-    assert(oracleHolds(Thread, Key, Access) &&
-           "L0 filter hit not backed by the detector-side cache");
-    return true;
+    return threadState(Thread).Caches.probe(keyOf(Location), Access);
   }
 
   /// The current lockset of \p Thread (dummy join locks included); exposed
@@ -146,14 +139,11 @@ public:
 
 protected:
   struct ThreadState {
-    explicit ThreadState(uint32_t CacheEntries)
-        : ReadCache(CacheEntries), WriteCache(CacheEntries) {}
+    explicit ThreadState(uint32_t CacheEntries) : Caches(CacheEntries) {}
 
     LockSet Locks;                 ///< held locks incl. dummy join locks
     std::vector<LockId> RealStack; ///< releasable locks, outer to inner
-    AccessCache ReadCache;
-    AccessCache WriteCache;
-    AccessFilter Filter;           ///< hook-path L0 filter (HookFilter)
+    ThreadCaches Caches;
 
     /// Interned id of Locks, refreshed lazily: locksets only change at
     /// monitor/thread events, so the per-access cost is a dirty-bit test
@@ -169,45 +159,28 @@ protected:
   /// cache and the backend index the same keys.  A cache hit is redundant
   /// and ends here; a miss calls \p Miss(Key, ThreadState &) — which may
   /// build the backend event with eventOf — and then caches the access.
-  /// \p Miss is a template parameter so it inlines into the runtime's
-  /// onAccess with no indirect call.
-  template <typename MissFn>
+  /// \p Probed marks an access whose lookup the interpreter's inline probe
+  /// already made (and missed), so no access is looked up twice.  \p Miss
+  /// is a template parameter so it inlines into the runtime's onAccess
+  /// with no indirect call.
+  template <bool Probed = false, typename MissFn>
   void handleAccess(ThreadId Thread, LocationKey Location, AccessKind Access,
                     MissFn &&Miss) {
     ++EventsSeen;
     ThreadState &T = threadState(Thread);
-    LocationKey Key =
-        Opts.FieldsMerged ? Location.withFieldsMerged() : Location;
-
-    AccessCache *Cache = nullptr;
-    if (Opts.UseCache) {
-      Cache = Access == AccessKind::Read ? &T.ReadCache : &T.WriteCache;
-      if (Cache->lookup(Key)) {
-        // Guaranteed redundant: a weaker access is already recorded.  Seed
-        // the L0 filter so the next same-epoch repeat short-circuits at
-        // the instrumentation site (the hit is backed by this cache entry).
-        if (FilterOn)
-          T.Filter.insert(Key, Access);
-        return;
-      }
-    }
+    LocationKey Key = keyOf(Location);
+    AccessCache *Cache = Opts.UseCache ? &T.Caches.of(Access) : nullptr;
+    // A hit is guaranteed redundant: a weaker access is already recorded.
+    if (!Probed && Cache && Cache->lookup(Key))
+      return;
 
     // The backend runs before the cache insert, so a shared transition it
     // triggers (evictShared) precedes caching this access.
     Miss(Key, T);
 
-    if (Cache) {
-      LockId Innermost =
-          T.RealStack.empty() ? LockId::invalid() : T.RealStack.back();
-      std::optional<LocationKey> Displaced = Cache->insert(Key, Innermost);
-      if (FilterOn) {
-        // A conflict eviction removed another key's backing cache entry;
-        // the L0 filter must not keep proving that key redundant.
-        if (Displaced)
-          T.Filter.invalidateKey(*Displaced);
-        T.Filter.insert(Key, Access);
-      }
-    }
+    if (Cache)
+      Cache->insert(Key, T.RealStack.empty() ? LockId::invalid()
+                                             : T.RealStack.back());
   }
 
   /// The backend event for a cache miss of \p T, interning its lockset if
@@ -223,19 +196,21 @@ protected:
 
   /// Section 7.2: a location entering the shared state must leave every
   /// thread's cache, otherwise a cache hit could suppress the first
-  /// post-sharing access.  The L0 filter mirrors the caches, so it drops
-  /// the key everywhere too.  Wired to the backend's shared transition.
+  /// post-sharing access.  Wired to the backend's shared transition.
   void evictShared(LocationKey Key);
 
-  /// Counters the front end owns: EventsSeen, the cache and L0 filter
+  /// Counters the front end owns: EventsSeen, the cache and inline-probe
   /// totals, and the per-thread cache breakdown.  The runtime fills in the
-  /// Detector section (and any batching counters).
+  /// Detector section.
   RaceRuntimeStats frontEndStats() const;
 
   /// The interner backend events' lockset ids resolve against.
   LockSetInterner Interner;
 
 private:
+  LocationKey keyOf(LocationKey Location) const {
+    return Opts.FieldsMerged ? Location.withFieldsMerged() : Location;
+  }
   ThreadState &threadState(ThreadId Thread) {
     if (ThreadState *T = findThread(Thread))
       return *T;
@@ -248,7 +223,6 @@ private:
   }
 
   RaceRuntimeOptions Opts;
-  bool FilterOn; ///< Opts.HookFilter gated on Opts.UseCache (the oracle)
   std::vector<std::unique_ptr<ThreadState>> Threads;
   uint64_t EventsSeen = 0;
 };

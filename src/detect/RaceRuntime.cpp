@@ -19,12 +19,24 @@ RaceRuntime::RaceRuntime(RaceRuntimeOptions Opts)
   Det.setOnShared([this](LocationKey Key) { evictShared(Key); });
 }
 
+template <bool Probed>
+void RaceRuntime::deliver(ThreadId Thread, LocationKey Location,
+                          AccessKind Access, SiteId Site) {
+  handleAccess<Probed>(Thread, Location, Access,
+                       [&](LocationKey Key, ThreadState &T) {
+                         Det.handleEvent(
+                             eventOf(T, Thread, Key, Access, Site));
+                       });
+}
+
 void RaceRuntime::onAccess(ThreadId Thread, LocationKey Location,
                            AccessKind Access, SiteId Site) {
-  handleAccess(Thread, Location, Access,
-               [&](LocationKey Key, ThreadState &T) {
-                 Det.handleEvent(eventOf(T, Thread, Key, Access, Site));
-               });
+  deliver<false>(Thread, Location, Access, Site);
+}
+
+void RaceRuntime::onProbeMiss(ThreadId Thread, LocationKey Location,
+                              AccessKind Access, SiteId Site) {
+  deliver<true>(Thread, Location, Access, Site);
 }
 
 RaceRuntimeStats RaceRuntime::stats() const {

@@ -35,11 +35,20 @@ public:
   void onAccess(ThreadId Thread, LocationKey Location, AccessKind Access,
                 SiteId Site) override;
 
+  /// onAccess after a miss of the interpreter's inline probe
+  /// (docs/HOOKPATH.md): the same delivery without the cache lookup.
+  void onProbeMiss(ThreadId Thread, LocationKey Location, AccessKind Access,
+                   SiteId Site);
+
   const RaceReporter &reporter() const { return Reporter; }
 
   RaceRuntimeStats stats() const;
 
 private:
+  template <bool Probed>
+  void deliver(ThreadId Thread, LocationKey Location, AccessKind Access,
+               SiteId Site);
+
   RaceReporter Reporter;
   Detector Det;
 };

@@ -161,11 +161,6 @@ DetectorStats ShardPool::aggregateDetectorStats() const {
     Sum.LocationsShared += D.LocationsShared;
     Sum.TrieNodes += D.TrieNodes;
   }
-  // The interner (and so its memo) is shared across shards: copy its
-  // counters once rather than summing the same numbers N times.
-  Sum.LocksetMemoHits = Locksets->memoHits();
-  Sum.LocksetMemoMisses = Locksets->memoMisses();
-  Sum.LocksetMemoEvictions = Locksets->memoEvictions();
   return Sum;
 }
 
@@ -175,12 +170,9 @@ DetectorStats ShardPool::aggregateDetectorStats() const {
 
 ShardedRuntime::ShardedRuntime(ShardedRuntimeOptions Opts)
     : LocksetFrontEnd(Opts.Detection), Opts(Opts),
-      FastOn(Opts.Detection.HookFilter),
       Pool(Opts.NumShards, Opts.BatchCapacity, Opts.QueueDepthBatches,
            &Interner, Opts.Detection.Plan, Opts.Metrics) {
   Ownership.reserve(Opts.Detection.Plan.clamped().ExpectedLocations);
-  if (FastOn)
-    Staged.Events.reserve(Opts.BatchCapacity == 0 ? 1 : Opts.BatchCapacity);
   // Ownership runs on the producer thread, so the Section 7.2 eviction is
   // synchronous with ingest exactly as in the serial runtime.
   Ownership.setOnShared([this](LocationKey Key) { evictShared(Key); });
@@ -188,96 +180,44 @@ ShardedRuntime::ShardedRuntime(ShardedRuntimeOptions Opts)
 
 ShardedRuntime::~ShardedRuntime() { finish(); }
 
-void ShardedRuntime::onThreadCreate(ThreadId Child, ThreadId Parent,
-                                    ObjectId ThreadObj, SiteId Site) {
-  LocksetFrontEnd::onThreadCreate(Child, Parent, ThreadObj, Site);
-  if (FastOn)
-    flushStaged(); // sync operations are batch flush points
-}
-
-void ShardedRuntime::onThreadExit(ThreadId Dying) {
-  if (FastOn)
-    flushStaged();
-  LocksetFrontEnd::onThreadExit(Dying);
-}
-
 void ShardedRuntime::onThreadJoin(ThreadId Joiner, ThreadId Joined) {
   LocksetFrontEnd::onThreadJoin(Joiner, Joined);
   // Join points are drain barriers: every event from before the join is
   // fully processed before execution continues, which bounds queue skew
-  // and makes mid-run statistics snapshots deterministic.  drain() flushes
-  // the staging batch first.
+  // and makes mid-run statistics snapshots deterministic.
   drain();
 }
 
-void ShardedRuntime::onMonitorEnter(ThreadId Thread, LockId Lock,
-                                    bool Recursive, SiteId Site) {
-  LocksetFrontEnd::onMonitorEnter(Thread, Lock, Recursive, Site);
-  if (FastOn && !Recursive)
-    flushStaged(); // nested acquisitions are no sync point (Sec 4.2)
-}
-
-void ShardedRuntime::onMonitorExit(ThreadId Thread, LockId Lock,
-                                   bool StillHeld) {
-  LocksetFrontEnd::onMonitorExit(Thread, Lock, StillHeld);
-  if (FastOn && !StillHeld)
-    flushStaged(); // only the final monitorexit releases (Section 4.2)
+template <bool Probed>
+void ShardedRuntime::deliver(ThreadId Thread, LocationKey Location,
+                             AccessKind Access, SiteId Site) {
+  MergedValid = false;
+  handleAccess<Probed>(Thread, Location, Access,
+                       [&](LocationKey Key, ThreadState &T) {
+                         ++EventsToDetector;
+                         if (Opts.Detection.UseOwnership &&
+                             !Ownership.passes(Thread, Key))
+                           return;
+                         Pool.submit(
+                             eventOf(T, Thread, Key, Access, Site));
+                       });
 }
 
 void ShardedRuntime::onAccess(ThreadId Thread, LocationKey Location,
                               AccessKind Access, SiteId Site) {
-  MergedValid = false;
-  handleAccess(Thread, Location, Access,
-               [&](LocationKey Key, ThreadState &T) {
-                 ++EventsToDetector;
-                 if (Opts.Detection.UseOwnership &&
-                     !Ownership.passes(Thread, Key))
-                   return;
-                 DetectorEvent Event = eventOf(T, Thread, Key, Access, Site);
-                 if (FastOn)
-                   stage(Event);
-                 else
-                   Pool.submit(Event);
-               });
+  deliver<false>(Thread, Location, Access, Site);
 }
 
-void ShardedRuntime::stage(const DetectorEvent &Event) {
-  if (!Staged.Events.empty() && StagedThread != Event.Thread)
-    flushStaged(); // thread switch: keep the global submit order exact
-  StagedThread = Event.Thread;
-  Staged.Events.push_back(Event);
-  if (Staged.Events.size() >= (Opts.BatchCapacity == 0 ? 1
-                                                       : Opts.BatchCapacity))
-    flushStaged();
-}
-
-void ShardedRuntime::flushStaged() {
-  if (Staged.Events.empty())
-    return;
-  for (const DetectorEvent &Event : Staged.Events)
-    Pool.submit(Event);
-  ++BatchFlushes;
-  BatchedEvents += Staged.Events.size();
-  Staged.Events.clear();
-}
-
-void ShardedRuntime::onQuantumEnd(ThreadId Thread) {
-  (void)Thread;
-  if (FastOn)
-    flushStaged();
+void ShardedRuntime::onProbeMiss(ThreadId Thread, LocationKey Location,
+                                 AccessKind Access, SiteId Site) {
+  deliver<true>(Thread, Location, Access, Site);
 }
 
 void ShardedRuntime::onRunEnd() { finish(); }
 
-void ShardedRuntime::drain() {
-  flushStaged();
-  Pool.drain();
-}
+void ShardedRuntime::drain() { Pool.drain(); }
 
-void ShardedRuntime::finish() {
-  flushStaged();
-  Pool.finish();
-}
+void ShardedRuntime::finish() { Pool.finish(); }
 
 const RaceReporter &ShardedRuntime::reporter() {
   drain();
@@ -298,8 +238,6 @@ const RaceReporter &ShardedRuntime::reporter() {
 RaceRuntimeStats ShardedRuntime::stats() {
   drain();
   RaceRuntimeStats S = frontEndStats();
-  S.Hook.BatchFlushes = BatchFlushes;
-  S.Hook.BatchedEvents = BatchedEvents;
   S.Detector = Pool.aggregateDetectorStats();
   S.Detector.EventsIn = EventsToDetector;
   if (Opts.Detection.UseOwnership) {

@@ -13,7 +13,7 @@
 /// Division of labour:
 ///   - producer (the interpreter's hook thread): the shared LocksetFrontEnd
 ///     (per-thread locksets and dummy join locks, the per-thread read/write
-///     caches, field merging, the L0 filter) and the ownership filter —
+///     caches, field merging) and the ownership filter —
 ///     everything whose outcome the next event depends on stays
 ///     synchronous;
 ///   - shard workers: the access-history tries and race reporting — the
@@ -54,10 +54,8 @@ struct ShardedRuntimeOptions {
   size_t QueueDepthBatches = 16; ///< backpressure bound per shard
 
   /// The detection flags, the same ones the serial runtime takes, so every
-  /// ablation runs sharded as well.  HookFilter additionally stages events
-  /// per thread, flushed at sync operations, quantum ends and run end.
-  /// The Plan's location-scaled fields are sliced per shard; the shared
-  /// interner is planned once at pool level.
+  /// ablation runs sharded as well.  The Plan's location-scaled fields are
+  /// sliced per shard; the shared interner is planned once at pool level.
   RaceRuntimeOptions Detection;
 
   /// Observability sink (`herd --trace-json`): per-shard batch spans and
@@ -184,23 +182,21 @@ private:
 
 /// The sharded detection runtime: a drop-in alternative to RaceRuntime
 /// behind the same RuntimeHooks interface — the lockset front end plus the
-/// producer-side OwnershipFilter and staged ShardPool submission.
+/// producer-side OwnershipFilter and ShardPool submission.
 class ShardedRuntime : public LocksetFrontEnd {
 public:
   explicit ShardedRuntime(ShardedRuntimeOptions Opts = {});
   ~ShardedRuntime() override;
 
-  void onThreadCreate(ThreadId Child, ThreadId Parent, ObjectId ThreadObj,
-                      SiteId Site = SiteId::invalid()) override;
-  void onThreadExit(ThreadId Dying) override;
   void onThreadJoin(ThreadId Joiner, ThreadId Joined) override;
-  void onMonitorEnter(ThreadId Thread, LockId Lock, bool Recursive,
-                      SiteId Site = SiteId::invalid()) override;
-  void onMonitorExit(ThreadId Thread, LockId Lock, bool StillHeld) override;
   void onAccess(ThreadId Thread, LocationKey Location, AccessKind Access,
                 SiteId Site) override;
-  void onQuantumEnd(ThreadId Thread) override;
   void onRunEnd() override;
+
+  /// onAccess after a miss of the interpreter's inline probe
+  /// (docs/HOOKPATH.md): the same delivery without the cache lookup.
+  void onProbeMiss(ThreadId Thread, LocationKey Location, AccessKind Access,
+                   SiteId Site);
 
   /// Drains the shards and returns the merged reporter (shard order, then
   /// per-shard program order).
@@ -219,30 +215,17 @@ public:
   void finish();
 
 private:
+  template <bool Probed>
+  void deliver(ThreadId Thread, LocationKey Location, AccessKind Access,
+               SiteId Site);
   void drain();
 
-  /// Staged-batch submission (HookFilter): appends to the staging batch,
-  /// flushing first when the producing thread changed — per-shard event
-  /// order stays exactly the unstaged order, so reports are byte-identical.
-  void stage(const DetectorEvent &Event);
-  void flushStaged();
-
   ShardedRuntimeOptions Opts;
-  bool FastOn; ///< Opts.Detection.HookFilter: staged batching
   ShardPool Pool;
   OwnershipFilter Ownership;
   RaceReporter Merged;
   bool MergedValid = false;
   uint64_t EventsToDetector = 0; ///< post-cache events (EventsIn serially)
-
-  // The per-thread staging batch (docs/HOOKPATH.md).  One buffer suffices:
-  // the interpreter produces events from one program thread at a time, so
-  // tagging the buffer with its thread and flushing on a thread switch is
-  // equivalent to one buffer per thread, without the footprint.
-  EventBatch Staged;
-  ThreadId StagedThread;
-  uint64_t BatchFlushes = 0;
-  uint64_t BatchedEvents = 0;
 };
 
 } // namespace herd

@@ -45,9 +45,9 @@ const char *herd::herdUsageText() {
       "                    computed-goto over superinstruction shadow code,\n"
       "                    docs/INTERPRETER.md) | switch (the reference\n"
       "                    interpreter); reports are identical either way\n"
-      "  --hook-filter=<m> hook-path fast path: on (default; inline L0\n"
-      "                    access filter, devirtualized delivery, batched\n"
-      "                    submission, docs/HOOKPATH.md) | off (the legacy\n"
+      "  --hook-filter=<m> hook-path fast path: on (default; devirtualized\n"
+      "                    delivery with an inline probe of the per-thread\n"
+      "                    access cache, docs/HOOKPATH.md) | off (the\n"
       "                    virtual hook path, for A/B measurement); reports\n"
       "                    and traces are byte-identical either way\n"
       "  --report=<fmt>    race-report rendering: human (default) | json\n"

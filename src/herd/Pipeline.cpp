@@ -401,7 +401,6 @@ public:
       Opts.UseOwnership = Config.UseOwnership;
       Opts.FieldsMerged = Config.FieldsMerged;
       Opts.ModelJoin = Config.ModelJoin;
-      Opts.HookFilter = Config.HookFilter;
       Opts.Plan = Plan;
       if (Config.Shards >= 1) {
         ShardedRuntimeOptions SOpts;
@@ -447,9 +446,10 @@ public:
 
   /// Devirtualized delivery (docs/HOOKPATH.md): when the detection runtime
   /// is the *sole* sink — no recorder, no deadlock detector — and no
-  /// profiler wants to time hook calls, the interpreter delivers access
-  /// events straight to the concrete runtime (inline L0 filter included).
-  /// Any extra sink disables it so recorded traces keep every event.
+  /// profiler wants to time hook calls, the interpreter probes the
+  /// runtime's caches inline and delivers misses straight to the concrete
+  /// runtime.  Any extra sink disables it so recorded traces keep every
+  /// event.
   void setDirectSink(InterpOptions &IOpts) const {
     if (Config.HookFilter && !Config.Profiler && Sinks.size() == 1 &&
         Hooks == Detect) {
@@ -461,18 +461,22 @@ public:
   /// Reads the backend's counters and reports into \p Result, draining a
   /// sharded runtime first.
   void harvest(PipelineResult &Result) {
+    if (Epoch) {
+      Result.EpochBackend = true;
+      Result.Epoch = Epoch->stats();
+      return;
+    }
     if (Sharded) {
       Sharded->finish();
       Result.Stats = Sharded->stats();
       Result.Reports = Sharded->reporter();
       Result.ShardBreakdown = Sharded->shardStats();
-    } else if (Serial) {
+    } else {
       Result.Stats = Serial->stats();
       Result.Reports = Serial->reporter();
-    } else {
-      Result.EpochBackend = true;
-      Result.Epoch = Epoch->stats();
     }
+    // The inline probe needs a cache to probe.
+    Result.Stats.Hook.FilterEnabled = Config.HookFilter && Config.UseCache;
   }
 
   /// Formats the harvested findings against \p P (and \p TheHeap, null

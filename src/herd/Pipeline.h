@@ -55,12 +55,12 @@ struct ToolConfig {
   uint32_t CacheEntries = 256;
 
   /// Hook-path fast path (`herd --hook-filter=on|off`, docs/HOOKPATH.md):
-  /// the per-thread inline L0 access filter, devirtualized event delivery
-  /// into the detection runtime, and (sharded) batched submission.  Purely
-  /// an optimization — reports, traces, and schedules are byte-identical
-  /// either way; `off` reproduces the legacy virtual hook path for A/B
-  /// measurement.  The L0 filter additionally requires UseCache (the
-  /// detector-side cache is the invariant it borrows).
+  /// devirtualized event delivery into the detection runtime, with the
+  /// interpreter probing the running thread's Section 4.2 cache inline
+  /// before any call into the runtime.  Purely an optimization — reports,
+  /// traces, schedules and cache counters are identical either way; `off`
+  /// reproduces the virtual hook path for A/B measurement.  The inline
+  /// probe additionally requires UseCache.
   bool HookFilter = true;
 
   /// Shard count for the detection runtime: 0 runs the serial
@@ -90,8 +90,9 @@ struct ToolConfig {
   /// are byte-identical either way (the store only listens); human race
   /// lines gain indented provenance detail.  Off costs nothing — the sink
   /// does not exist.  On adds a second sink, which disables the
-  /// devirtualized single-sink delivery lane (docs/HOOKPATH.md), so live
-  /// throughput drops to the fanout path; the overhead is measured by
+  /// devirtualized single-sink delivery lane and its inline cache probe
+  /// (docs/HOOKPATH.md), so every live access takes the virtual fanout
+  /// path; the overhead is measured by
   /// bench/bench_hotpath.cpp and documented honestly in docs/REPORTS.md.
   bool Provenance = false;
 

@@ -23,9 +23,6 @@ void writeDetectorStats(JsonWriter &W, const DetectorStats &D) {
   W.member("locations_tracked", uint64_t(D.LocationsTracked));
   W.member("locations_shared", uint64_t(D.LocationsShared));
   W.member("trie_nodes", uint64_t(D.TrieNodes));
-  W.member("lockset_memo_hits", D.LocksetMemoHits);
-  W.member("lockset_memo_misses", D.LocksetMemoMisses);
-  W.member("lockset_memo_evictions", D.LocksetMemoEvictions);
   W.endObject();
 }
 
@@ -40,10 +37,6 @@ void writeRuntimeStats(JsonWriter &W, const RaceRuntimeStats &S) {
   W.member("filter_enabled", S.Hook.FilterEnabled);
   W.member("filter_hits", S.Hook.FilterHits);
   W.member("filter_misses", S.Hook.FilterMisses);
-  W.member("epoch_bumps", S.Hook.EpochBumps);
-  W.member("key_invalidations", S.Hook.KeyInvalidations);
-  W.member("batch_flushes", S.Hook.BatchFlushes);
-  W.member("batched_events", S.Hook.BatchedEvents);
   W.endObject();
   W.key("detector");
   writeDetectorStats(W, S.Detector);

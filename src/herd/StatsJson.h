@@ -12,13 +12,15 @@
 ///
 /// The document carries a stable, versioned envelope:
 ///
-///   { "schema": "herd-stats", "version": 1, ... }
+///   { "schema": "herd-stats", "version": 2, ... }
 ///
 /// Consumers check the pair and refuse what they don't understand
 /// (scripts/check_stats_schema.py is the in-tree reference consumer).
 /// Within a version, fields are only ever added, never renamed or
-/// repurposed; key order is fixed so byte-level diffs are meaningful
-/// (the golden-file tests in tests/stats_test.cpp rely on this).
+/// repurposed; removing one takes a new version (docs/OBSERVABILITY.md
+/// lists what each version changed).  Key order is fixed so byte-level
+/// diffs are meaningful (the golden-file tests in tests/stats_test.cpp
+/// rely on this).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +38,7 @@ class MetricsRegistry;
 
 /// The schema identity this build emits.
 inline constexpr const char *StatsSchemaName = "herd-stats";
-inline constexpr int StatsSchemaVersion = 1;
+inline constexpr int StatsSchemaVersion = 2;
 
 /// Renders \p Result as one herd-stats JSON document (trailing newline
 /// included).  \p Metrics and \p Prof are optional sections: when given,

@@ -131,30 +131,21 @@ void Interpreter::emitAccess(ThreadId Thread, LocationKey Loc,
   // sink when no profiler is active, so the profiled hook-timing path
   // below stays exact when profiling.
   if (FrontEnd) {
-    // Hoisted L0 probe: CurFilter is the running thread's filter,
-    // refreshed at quantum start, so the common case — a
-    // guaranteed-redundant access — costs one hash and one slot compare
-    // through a register-resident pointer.  A hit must be backed by the
-    // detector-side cache (the differential oracle, asserted in debug
-    // builds).  Without a hoistable filter (filter off, or FieldsMerged)
-    // the front end's filterHit performs the key transform and the probe
-    // itself.  A miss falls through to the full delivery path, which is
-    // what seeds the filter.
-    if (CurFilter) {
-      if (CurFilter->probe(Loc, Kind)) {
-        assert(FrontEnd->oracleHolds(Thread, Loc, Kind) &&
-               "hoisted L0 filter hit not backed by the detector-side cache");
-        return;
-      }
-    } else if (FrontEnd->filterHit(Thread, Loc, Kind)) {
+    // Inline probe of the Section 4.2 cache: CurCaches is the running
+    // thread's cache pair, refreshed at quantum start, so the common case
+    // — a guaranteed-redundant access — costs one hash and one entry
+    // compare through a register-resident pointer.  Without a hoisted
+    // handle (caches off, or FieldsMerged) the front end's probe performs
+    // the key transform and the lookup itself.  A miss enters the concrete
+    // runtime's miss path, which skips the lookup, so no access is looked
+    // up twice.  onProbeMiss is non-virtual: delivery stays direct.
+    if (CurCaches ? CurCaches->probe(Loc, Kind)
+                  : FrontEnd->probe(Thread, Loc, Kind))
       return;
-    }
-    // Qualified calls: the sink type is concrete, so the miss path stays
-    // devirtualized too.
     if (SerialSink)
-      SerialSink->RaceRuntime::onAccess(Thread, Loc, Kind, Site);
+      SerialSink->onProbeMiss(Thread, Loc, Kind, Site);
     else
-      ShardedSink->ShardedRuntime::onAccess(Thread, Loc, Kind, Site);
+      ShardedSink->onProbeMiss(Thread, Loc, Kind, Site);
     return;
   }
   if (!Hooks)
@@ -1417,15 +1408,14 @@ InterpResult Interpreter::run() {
       Quantum = 1 + ScheduleRng.nextBelow(Opts.MaxQuantum);
     }
 
-    // Hoisted hook-path probe (docs/HOOKPATH.md): cache the running
-    // thread's L0 filter for the quantum.  The handle's address is stable
-    // (the runtimes heap-allocate per-thread state) and every
-    // invalidation channel — epoch bumps on the thread's own sync ops,
-    // cross-thread shared-transition evictions, cache-conflict
-    // displacement — mutates the pointed-to filter in place, so a
-    // quantum-long cache of the pointer can never serve a stale hit.
+    // Hoisted hook-path probe (docs/HOOKPATH.md): the running thread's
+    // cache pair for the quantum.  The handle's address is stable (the
+    // runtimes heap-allocate per-thread state) and every eviction — the
+    // thread's own lock releases, cross-thread shared transitions,
+    // conflict displacement — updates the pointed-to caches in place, so
+    // a quantum-long copy of the pointer can never serve a stale hit.
     if (FrontEnd)
-      CurFilter = FrontEnd->filterHandle(Current->Id);
+      CurCaches = FrontEnd->cacheHandle(Current->Id);
 
     // Pair counts never chain across a context switch, in either mode.
     if (HERD_UNLIKELY(Prof != nullptr))
@@ -1452,12 +1442,6 @@ InterpResult Interpreter::run() {
       break;
     if (Opts.Record && Retired > 0)
       Opts.Record->Slices.push_back({Current->Id.index(), Retired});
-    // Quantum boundary: a pacing signal for sinks that stage work (the
-    // sharded runtime flushes its per-thread event batch here,
-    // docs/HOOKPATH.md).  Purely observational — scheduling has already
-    // been decided, so batching can never change the schedule.
-    if (Hooks)
-      Hooks->onQuantumEnd(Current->Id);
     Cursor = (Cursor + 1) % Threads.size();
     ++Result.ContextSwitches;
   }

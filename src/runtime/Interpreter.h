@@ -37,10 +37,10 @@
 namespace herd {
 
 class InterpProfiler;
-class AccessFilter;
 class LocksetFrontEnd;
 class RaceRuntime;
 class ShardedRuntime;
+struct ThreadCaches;
 
 /// How the inner loop dispatches instructions (`herd --dispatch=...`,
 /// docs/INTERPRETER.md).  Switch is the reference semantics: one switch
@@ -121,13 +121,13 @@ struct InterpOptions {
 
   /// Devirtualized delivery (docs/HOOKPATH.md): when one of these is set,
   /// traced accesses bypass the virtual RuntimeHooks::onAccess hop: the
-  /// interpreter probes the inline L0 filter of the runtime's lockset
-  /// front end and calls the concrete runtime's onAccess on a miss.  The
-  /// pipeline sets at most one, and only when the detection runtime is the
-  /// sole access sink (no recorder, no deadlock detector, no profiler):
-  /// every other sink would miss events the filter suppresses.  All
-  /// non-access events still flow through the normal Hooks pointer, which
-  /// must reference the same runtime.
+  /// interpreter probes the running thread's Section 4.2 cache inline and
+  /// calls the concrete runtime's onProbeMiss on a miss.  The pipeline
+  /// sets at most one, and only when the detection runtime is the sole
+  /// access sink (no recorder, no deadlock detector, no profiler): every
+  /// other sink would miss events the probe drops.  All non-access events
+  /// still flow through the normal Hooks pointer, which must reference the
+  /// same runtime.
   RaceRuntime *SerialSink = nullptr;
   ShardedRuntime *ShardedSink = nullptr;
 };
@@ -280,11 +280,11 @@ private:
   RaceRuntime *SerialSink;   ///< devirtualized delivery (InterpOptions)
   ShardedRuntime *ShardedSink;
   LocksetFrontEnd *FrontEnd; ///< whichever sink is set, or null
-  /// The running thread's L0 filter, refreshed at each quantum start from
-  /// the front end's filterHandle (docs/HOOKPATH.md).  Non-null only on
-  /// the devirtualized path with the filter hoistable; emitAccess probes
-  /// it through this one pointer before any call into the runtime.
-  AccessFilter *CurFilter = nullptr;
+  /// The running thread's cache pair, refreshed at each quantum start from
+  /// the front end's cacheHandle (docs/HOOKPATH.md).  Non-null only on the
+  /// devirtualized path with the probe hoistable; emitAccess probes it
+  /// through this one pointer before any call into the runtime.
+  ThreadCaches *CurCaches = nullptr;
   InterpOptions Opts;
   Heap TheHeap;
   Rng ScheduleRng;

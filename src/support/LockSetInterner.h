@@ -16,13 +16,7 @@
 /// distinct locks seen (dense-remapped), making subset and intersection
 /// queries single AND/ANDN instructions whenever both sets live inside that
 /// universe — which covers every workload in this repo.  Sets that spill past
-/// the 64-lock universe fall back to the SortedIdSet merge walk, memoized in
-/// a fixed-size 2-way set-associative table keyed by the id pair.  The memo
-/// is bounded by construction (MemoSets * 2 entries per query kind): on a
-/// set conflict the older way is evicted round-robin, so a long run with a
-/// churning lockset population can never grow the memo without bound
-/// (previously an unbounded unordered_map — see ROADMAP).  Eviction only
-/// costs a recompute on the next repeat query, never correctness.
+/// the 64-lock universe fall back to the SortedIdSet merge walk.
 ///
 /// Thread-safety contract (mirrors BoundedBatchQueue's producer contract):
 /// intern(), isSubsetOf() and intersects() are producer-thread-only.
@@ -115,7 +109,6 @@ public:
   const LockSet &resolve(LockSetId Id) const { return entry(Id.index()).Set; }
 
   /// Returns true if set \p A is a subset of (or equal to) set \p B.
-  /// Producer-thread-only (consults the memo on the rare inexact path).
   bool isSubsetOf(LockSetId A, LockSetId B) const {
     if (A == B || A.index() == 0)
       return true;
@@ -129,12 +122,10 @@ public:
       return (EA.Mask & ~EB.Mask) == 0;
     if (EB.Exact)
       return false; // A holds a lock outside the universe that B cannot
-    return memoQuery(SubsetMemo, A, B,
-                     [&] { return EA.Set.isSubsetOf(EB.Set); });
+    return EA.Set.isSubsetOf(EB.Set);
   }
 
   /// Returns true if sets \p A and \p B share at least one lock.
-  /// Producer-thread-only (consults the memo on the rare inexact path).
   bool intersects(LockSetId A, LockSetId B) const {
     if (A.index() == 0 || B.index() == 0)
       return false;
@@ -145,8 +136,7 @@ public:
     // had a bit in both masks, so the sets are disjoint.
     if (EA.Exact || EB.Exact)
       return false;
-    return memoQuery(IntersectMemo, A, B,
-                     [&] { return EA.Set.intersects(EB.Set); });
+    return EA.Set.intersects(EB.Set);
   }
 
   /// Number of distinct locksets interned so far (>= 1: the empty set).
@@ -154,12 +144,6 @@ public:
 
   /// Number of distinct locks seen across all interned sets.
   size_t lockUniverse() const { return DenseLocks.size(); }
-
-  /// Memo observability for DetectorStats: hits, misses (computed and
-  /// cached), and entries evicted by the 2-way replacement.
-  uint64_t memoHits() const { return MemoHitCount; }
-  uint64_t memoMisses() const { return MemoMissCount; }
-  uint64_t memoEvictions() const { return MemoEvictionCount; }
 
   /// Pre-sizes the lookup structures for \p ExpectedSets distinct locksets
   /// so a plan-sized run interns without rehashing or chunk allocation.
@@ -198,64 +182,10 @@ private:
     return H;
   }
 
-  /// Sets per memo table (power of two).  512 sets * 2 ways bounds each
-  /// table at 1024 cached verdicts — far above the live inexact-pair
-  /// population any workload here produces, and ~16 KB total.
-  static constexpr size_t MemoSets = 512;
-
-  /// Bounded memo for one query kind: 2-way set-associative over the id
-  /// pair, MemoSets * 2 entries, round-robin victim within a set.  The
-  /// all-ones key never arises from real id pairs (it would need both ids
-  /// >= 2^32 - 1), so it doubles as the empty-entry sentinel.
-  struct MemoTable {
-    static constexpr uint64_t EmptyKey = ~uint64_t(0);
-    struct Way {
-      uint64_t Key = EmptyKey;
-      bool Result = false;
-    };
-    struct Set {
-      std::array<Way, 2> Ways;
-      uint8_t NextVictim = 0;
-    };
-    std::array<Set, MemoSets> Sets{};
-  };
-
-  template <typename Fn>
-  bool memoQuery(MemoTable &Memo, LockSetId A, LockSetId B,
-                 Fn Compute) const {
-    uint64_t Key = (uint64_t(A.index()) << 32) | B.index();
-    // SplitMix64 finalizer: adjacent interner ids otherwise map to
-    // adjacent sets and thrash under sequential churn.
-    uint64_t H = Key;
-    H ^= H >> 30;
-    H *= 0xbf58476d1ce4e5b9ull;
-    H ^= H >> 27;
-    typename MemoTable::Set &S = Memo.Sets[size_t(H) & (MemoSets - 1)];
-    for (auto &W : S.Ways)
-      if (W.Key == Key) {
-        ++MemoHitCount;
-        return W.Result;
-      }
-    ++MemoMissCount;
-    bool Result = Compute();
-    auto &Victim = S.Ways[S.NextVictim];
-    if (Victim.Key != MemoTable::EmptyKey)
-      ++MemoEvictionCount;
-    Victim.Key = Key;
-    Victim.Result = Result;
-    S.NextVictim ^= 1;
-    return Result;
-  }
-
   std::array<std::unique_ptr<Entry[]>, MaxChunks> Chunks;
   std::atomic<uint32_t> NumSets{0};
   std::unordered_map<uint64_t, std::vector<uint32_t>> Lookup;
   std::unordered_map<uint32_t, uint32_t> DenseLocks; ///< LockId -> dense
-  mutable MemoTable SubsetMemo;
-  mutable MemoTable IntersectMemo;
-  mutable uint64_t MemoHitCount = 0;
-  mutable uint64_t MemoMissCount = 0;
-  mutable uint64_t MemoEvictionCount = 0;
 };
 
 } // namespace herd

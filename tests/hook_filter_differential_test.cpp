@@ -1,4 +1,4 @@
-//===- tests/hook_filter_differential_test.cpp - L0 filter on vs off ------==//
+//===- tests/hook_filter_differential_test.cpp - Fast path on vs off ------==//
 //
 // Part of the HERD project (PLDI 2002 datarace-detector reproduction).
 //
@@ -8,18 +8,16 @@
 /// The equivalence lockdown for the hook-path fast path (docs/HOOKPATH.md):
 /// `--hook-filter=off` is the reference semantics — every access event
 /// travels the virtual RuntimeHooks path into the detection runtime — and
-/// `--hook-filter=on` (the inline L0 access filter, devirtualized delivery
-/// and batched sharded submission) must be observationally
+/// `--hook-filter=on` (devirtualized delivery with the interpreter probing
+/// the Section 4.2 cache inline) must be observationally
 /// indistinguishable from it.  Every program in the shared corpus plus a
-/// slice of the fuzz generator runs with the filter on and off, under both
-/// dispatch modes, serial and sharded, across schedule seeds, and must
-/// produce byte-identical race reports, output, heaps, instruction counts
-/// and recorded traces.  The L0 filter only ever suppresses events the
-/// detector-side AccessCache would have absorbed, so even the detector's
-/// input count must match exactly.
+/// slice of the fuzz generator runs with the fast path on and off, under
+/// both dispatch modes, serial and sharded, across schedule seeds, and
+/// must produce byte-identical race reports, output, heaps, instruction
+/// counts and recorded traces.  The inline probe is the cache's own
+/// lookup, so even the cache and detector counters must match exactly.
 ///
-/// Also here: unit tests for detect/AccessFilter.h and the
-/// AccessCache::provesRedundant predicate the filter's soundness leans on,
+/// Also here: a unit test of the AccessCache::provesRedundant predicate,
 /// and the counter-reconciliation identity
 /// (run.access_events == hook.filter_hits + runtime.events_seen) that
 /// scripts/check_bench_gates.py enforces on benchmark artifacts.
@@ -30,7 +28,6 @@
 #include "TempPath.h"
 #include "TestPrograms.h"
 #include "detect/AccessCache.h"
-#include "detect/AccessFilter.h"
 #include "herd/Pipeline.h"
 
 #include <gtest/gtest.h>
@@ -46,70 +43,8 @@ using fuzzprogs::generateProgram;
 
 namespace {
 
-//===----------------------------------------------------------------------===
-// AccessFilter unit tests
-//===----------------------------------------------------------------------===
-
 LocationKey locKey(uint32_t Obj, uint32_t Field) {
   return LocationKey::forField(ObjectId(Obj), FieldId(Field));
-}
-
-TEST(AccessFilterTest, MissThenHitPerKind) {
-  AccessFilter F;
-  LocationKey K = locKey(1, 2);
-  EXPECT_FALSE(F.probe(K, AccessKind::Read));
-  F.insert(K, AccessKind::Read);
-  EXPECT_TRUE(F.probe(K, AccessKind::Read));
-  // Same location, other kind: the filter is exact per access kind, so a
-  // write probe misses until a write is inserted.
-  EXPECT_FALSE(F.probe(K, AccessKind::Write));
-  F.insert(K, AccessKind::Write);
-  EXPECT_TRUE(F.probe(K, AccessKind::Write));
-  // The kind is folded into the slot index, so the write insert did not
-  // displace the read entry: a load-then-store loop on one hot field keeps
-  // both entries resident instead of thrashing a single slot.
-  EXPECT_TRUE(F.probe(K, AccessKind::Read));
-  EXPECT_EQ(F.hits(), 3u);
-  EXPECT_EQ(F.misses(), 2u);
-}
-
-TEST(AccessFilterTest, EpochBumpInvalidatesEverything) {
-  AccessFilter F;
-  LocationKey A = locKey(1, 0), B = locKey(2, 0);
-  F.insert(A, AccessKind::Read);
-  F.insert(B, AccessKind::Write);
-  ASSERT_TRUE(F.probe(A, AccessKind::Read));
-  ASSERT_TRUE(F.probe(B, AccessKind::Write));
-  F.bumpEpoch();
-  EXPECT_FALSE(F.probe(A, AccessKind::Read));
-  EXPECT_FALSE(F.probe(B, AccessKind::Write));
-  EXPECT_EQ(F.epochBumps(), 1u);
-  // Re-inserting after the bump works at the new epoch.
-  F.insert(A, AccessKind::Read);
-  EXPECT_TRUE(F.probe(A, AccessKind::Read));
-}
-
-TEST(AccessFilterTest, InvalidateKeyIsSurgical) {
-  AccessFilter F;
-  LocationKey A = locKey(1, 0), B = locKey(2, 0);
-  F.insert(A, AccessKind::Read);
-  F.insert(B, AccessKind::Read);
-  F.invalidateKey(A);
-  EXPECT_FALSE(F.probe(A, AccessKind::Read));
-  EXPECT_TRUE(F.probe(B, AccessKind::Read));
-  EXPECT_EQ(F.keyInvalidations(), 1u);
-  // Invalidating a key the filter does not hold is a no-op.
-  F.invalidateKey(locKey(99, 9));
-  EXPECT_EQ(F.keyInvalidations(), 1u);
-  // Both kind slots of a key drop together (one counted invalidation):
-  // detector-side evictions are what trigger this, and they must never
-  // leave a stale hit behind for either kind.
-  F.insert(A, AccessKind::Read);
-  F.insert(A, AccessKind::Write);
-  F.invalidateKey(A);
-  EXPECT_FALSE(F.holds(A, AccessKind::Read));
-  EXPECT_FALSE(F.holds(A, AccessKind::Write));
-  EXPECT_EQ(F.keyInvalidations(), 2u);
 }
 
 TEST(AccessCacheTest, ProvesRedundantHasNoSideEffects) {
@@ -123,17 +58,6 @@ TEST(AccessCacheTest, ProvesRedundantHasNoSideEffects) {
   // lookup() agrees with the predicate and is the one that counts.
   EXPECT_TRUE(C.lookup(K));
   EXPECT_EQ(C.hits(), 1u);
-}
-
-TEST(AccessCacheTest, InsertReportsTheDisplacedKey) {
-  AccessCache C(1); // every distinct key collides in a one-entry cache
-  LocationKey A = locKey(1, 0), B = locKey(2, 0);
-  EXPECT_FALSE(C.insert(A, LockId()).has_value());
-  std::optional<LocationKey> Displaced = C.insert(B, LockId());
-  ASSERT_TRUE(Displaced.has_value());
-  EXPECT_EQ(*Displaced, A);
-  // Re-inserting the resident key displaces nothing.
-  EXPECT_FALSE(C.insert(B, LockId()).has_value());
 }
 
 //===----------------------------------------------------------------------===
@@ -153,12 +77,11 @@ std::vector<std::pair<std::string, Program>> namedCorpus() {
   return Out;
 }
 
-/// Asserts that a filter-on run is indistinguishable from the filter-off
-/// reference.  Everything observable must match — including the detector's
-/// own input count, because the L0 filter may only suppress events the
-/// detector-side cache would have absorbed anyway.  Cache hit counters are
-/// deliberately NOT compared: absorbed events migrate from the cache to
-/// the filter, which is the point of the optimization.
+/// Asserts that a fast-path run is indistinguishable from the filter-off
+/// reference.  Everything observable must match — including the cache and
+/// detector counters, because the inline probe is the cache's own lookup:
+/// every access that reaches the cache is looked up exactly once either
+/// way.
 void expectSameRun(const PipelineResult &Ref, const PipelineResult &Got,
                    const std::string &What) {
   SCOPED_TRACE(What);
@@ -178,11 +101,26 @@ void expectSameRun(const PipelineResult &Ref, const PipelineResult &Got,
             Got.Stats.Detector.OwnedFiltered);
   EXPECT_EQ(Ref.Stats.Detector.WeakerFiltered,
             Got.Stats.Detector.WeakerFiltered);
+  EXPECT_EQ(Ref.Stats.CacheHits, Got.Stats.CacheHits);
+  EXPECT_EQ(Ref.Stats.CacheMisses, Got.Stats.CacheMisses);
+  EXPECT_EQ(Ref.Stats.CacheEvictions, Got.Stats.CacheEvictions);
+  ASSERT_EQ(Ref.Stats.PerThreadCache.size(), Got.Stats.PerThreadCache.size());
+  for (size_t I = 0; I != Ref.Stats.PerThreadCache.size(); ++I) {
+    const ThreadCacheStats &A = Ref.Stats.PerThreadCache[I];
+    const ThreadCacheStats &B = Got.Stats.PerThreadCache[I];
+    EXPECT_EQ(A.Thread, B.Thread);
+    EXPECT_EQ(A.ReadHits, B.ReadHits) << "thread " << A.Thread;
+    EXPECT_EQ(A.ReadMisses, B.ReadMisses) << "thread " << A.Thread;
+    EXPECT_EQ(A.WriteHits, B.WriteHits) << "thread " << A.Thread;
+    EXPECT_EQ(A.WriteMisses, B.WriteMisses) << "thread " << A.Thread;
+  }
 }
 
-/// The counter-reconciliation identity for a filter-on run: every access
-/// the interpreter emitted either hit the L0 filter or reached the
-/// detection runtime.  Nothing is dropped, nothing is double-counted.
+/// The counter-reconciliation identity for a run on the direct path with
+/// caches on: every access the interpreter emitted either hit the inline
+/// probe or reached the detection runtime.  Nothing is dropped, nothing is
+/// double-counted.  Inline hits are cache hits, and on the direct path
+/// every lookup is the inline one, so the two counts are equal.
 void expectCountersReconcile(const PipelineResult &R,
                              const std::string &What) {
   SCOPED_TRACE(What);
@@ -192,11 +130,13 @@ void expectCountersReconcile(const PipelineResult &R,
   EXPECT_EQ(R.Stats.Hook.FilterHits + R.Stats.Hook.FilterMisses,
             R.Run.AccessEvents)
       << "every emitted access must be probed exactly once";
+  EXPECT_LE(R.Stats.Hook.FilterHits, R.Stats.CacheHits);
+  EXPECT_EQ(R.Stats.Hook.FilterHits, R.Stats.CacheHits);
 }
 
-/// Runs \p P with the filter off (reference) and on, in both dispatch
-/// modes, and asserts equivalence along every axis.  Returns the total L0
-/// hits so callers can assert the fast path actually engaged.
+/// Runs \p P with the fast path off (reference) and on, in both dispatch
+/// modes, and asserts equivalence along every axis.  Returns the total
+/// inline hits so callers can assert the fast path actually engaged.
 uint64_t runBothFilters(const Program &P, ToolConfig Config,
                         const std::string &What) {
   uint64_t FilterHits = 0;
@@ -235,8 +175,8 @@ TEST(HookFilterDifferentialTest, NamedProgramsAllConfigs) {
       }
       // NoStatic: instrument every access and keep the in-loop traces, so
       // redundant accesses actually recur at runtime — this is where the
-      // L0 filter earns its keep (the full config statically removes most
-      // provably-redundant traces before the runtime ever sees them).
+      // inline probe earns its keep (the full config statically removes
+      // most provably-redundant traces before the runtime ever sees them).
       ToolConfig NoStatic = ToolConfig::noStatic();
       NoStatic.StaticWeakerThan = false;
       NoStatic.LoopPeeling = false;
@@ -244,8 +184,15 @@ TEST(HookFilterDifferentialTest, NamedProgramsAllConfigs) {
       FilterHits += runBothFilters(
           P, NoStatic, Name + " nostatic seed=" + std::to_string(Seed));
 
-      // NoCache: the L0 filter loses its oracle and must disarm itself —
-      // the run degenerates to devirtualized delivery only.
+      // FieldsMerged: no hoisted handle; the front end's probe applies the
+      // key transform before the lookup.
+      ToolConfig Merged = ToolConfig::fieldsMerged();
+      Merged.Seed = Seed;
+      FilterHits += runBothFilters(
+          P, Merged, Name + " fieldsmerged seed=" + std::to_string(Seed));
+
+      // NoCache: nothing to probe — the run degenerates to devirtualized
+      // delivery only.
       ToolConfig NoCache = ToolConfig::noCache();
       NoCache.Seed = Seed;
       runBothFilters(P, NoCache,
@@ -253,7 +200,7 @@ TEST(HookFilterDifferentialTest, NamedProgramsAllConfigs) {
     }
   }
   EXPECT_GT(FilterHits, 0u)
-      << "the corpus never engaged the L0 filter; the fast path went "
+      << "the corpus never hit the inline probe; the fast path went "
          "untested";
 }
 
@@ -271,8 +218,8 @@ TEST(HookFilterDifferentialTest, MultiSinkConfigsDisableDevirtButAgree) {
     Config.HookFilter = true;
     PipelineResult On = runPipeline(P, Config);
     expectSameRun(Ref, On, Name + " deadlocks");
-    // Access events travel the virtual fanout path, so the L0 filter never
-    // fires.
+    // Access events travel the virtual fanout path, so the inline probe
+    // never runs.
     EXPECT_EQ(On.Stats.Hook.FilterHits, 0u);
   }
 }
@@ -296,17 +243,16 @@ INSTANTIATE_TEST_SUITE_P(Programs, HookFilterFuzzTest,
                          ::testing::Range<uint64_t>(1, 41));
 
 //===----------------------------------------------------------------------===
-// Quantum edges: batching must never change a schedule
+// Quantum edges: the per-quantum handle must never serve a stale hit
 //===----------------------------------------------------------------------===
 
 TEST(HookFilterDifferentialTest, QuantumEdgesStayIdentical) {
-  // MaxQuantum=1 and 2 maximize flush pressure: the sharded runtime's
-  // staging buffer sees a quantum boundary after nearly every event, so
-  // any accounting drift between the staged and direct submit paths would
-  // surface here.  The schedule itself is decided before events are
-  // staged, so instruction counts and context switches must match the
-  // unbatched reference exactly.
-  uint64_t BatchedEvents = 0;
+  // MaxQuantum=1 and 2 maximize handle churn: the interpreter re-hoists the
+  // running thread's cache handle after nearly every instruction, so any
+  // drift between the hoisted probe and the virtual path would surface
+  // here.  The schedule is decided before any access is probed, so
+  // instruction counts and context switches must match the reference
+  // exactly.
   for (auto &[Name, P] : namedCorpus()) {
     for (uint32_t MaxQ : {1u, 2u}) {
       for (uint32_t Shards : {0u, 2u}) {
@@ -317,14 +263,9 @@ TEST(HookFilterDifferentialTest, QuantumEdgesStayIdentical) {
         runBothFilters(P, Config,
                        Name + " maxq=" + std::to_string(MaxQ) +
                            " shards=" + std::to_string(Shards));
-        Config.HookFilter = true;
-        BatchedEvents += runPipeline(P, Config).Stats.Hook.BatchedEvents;
       }
     }
   }
-  EXPECT_GT(BatchedEvents, 0u)
-      << "no sharded run ever staged an event; the batch path went "
-         "untested";
 }
 
 //===----------------------------------------------------------------------===
@@ -356,7 +297,7 @@ TEST(HookFilterDifferentialTest, RecordedTracesKeepEveryEvent) {
     PipelineResult On = runPipeline(P, Rec);
     ASSERT_TRUE(On.Run.Ok && On.Trace.Ok) << On.Run.Error << On.Trace.Error;
     EXPECT_EQ(On.Stats.Hook.FilterHits, 0u)
-        << "recording must disable the L0 filter so the trace is complete";
+        << "recording must disable the inline probe so the trace is complete";
 
     Rec.HookFilter = false;
     Rec.RecordTracePath = OffPath;
@@ -369,7 +310,7 @@ TEST(HookFilterDifferentialTest, RecordedTracesKeepEveryEvent) {
 
     // Replaying the filter-on recording re-detects identically with the
     // filter on and off, serial and sharded (replay delivers events over
-    // the virtual path; sharded replay still exercises batching).
+    // the virtual path).
     for (uint32_t Shards : {0u, 2u}) {
       ToolConfig Re = ToolConfig::full();
       Re.Seed = 99; // ignored: the trace is the event source

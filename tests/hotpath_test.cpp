@@ -80,7 +80,7 @@ TEST(LockSetInterner, EmptySetQueries) {
 
 /// Randomized subset/intersect agreement with the SortedIdSet oracle.
 /// \p Universe controls whether sets stay inside the 64-dense-lock fast
-/// path or spill into the memoized inexact path.
+/// path or spill into the inexact SortedIdSet path.
 void checkAgainstOracle(uint32_t Universe, uint64_t Seed) {
   Rng R(Seed);
   LockSetInterner I;
@@ -97,8 +97,6 @@ void checkAgainstOracle(uint32_t Universe, uint64_t Seed) {
     auto &[IdB, SetB] = Sets[R.nextBelow(Sets.size())];
     EXPECT_EQ(I.isSubsetOf(IdA, IdB), SetA.isSubsetOf(SetB));
     EXPECT_EQ(I.intersects(IdA, IdB), SetA.intersects(SetB));
-    // Memoized answers must be stable on repeat queries.
-    EXPECT_EQ(I.isSubsetOf(IdA, IdB), SetA.isSubsetOf(SetB));
   }
 }
 
@@ -112,48 +110,8 @@ TEST(LockSetInterner, OracleExactly64) {
 
 TEST(LockSetInterner, OracleSpillsPast64Locks) {
   // 200 lock ids: most sets contain locks whose dense index lands >= 64,
-  // exercising the inexact masks and the memoized fallback.
+  // exercising the inexact masks and the SortedIdSet fallback.
   checkAgainstOracle(/*Universe=*/200, /*Seed=*/3);
-}
-
-TEST(LockSetInterner, BoundedMemoOracleAcrossEvictions) {
-  // The subset/intersect memo is a fixed-size 2-way table with round-robin
-  // eviction.  Drive far more distinct inexact pairs through it than it
-  // can hold, so entries are evicted and later re-computed, and check every
-  // answer (first ask, memo hit, and post-eviction re-ask) against the
-  // SortedIdSet oracle.
-  LockSetInterner I;
-  // Saturate the 64-slot dense universe so every test set below (built
-  // from locks 100..399 only) is inexact — the memoized slow path.
-  for (uint32_t L = 0; L != 64; ++L)
-    I.intern(makeSet({L}));
-  std::vector<std::pair<LockSetId, LockSet>> Sets;
-  Rng R(17);
-  for (int N = 0; N != 120; ++N) {
-    LockSet S;
-    size_t Size = 1 + R.nextBelow(5);
-    for (size_t J = 0; J != Size; ++J)
-      S.insert(LockId(uint32_t(100 + R.nextBelow(300))));
-    Sets.push_back({I.intern(S), S});
-  }
-  // 120*120 = 14400 ordered pairs >> 512 sets * 2 ways = 1024 memo slots:
-  // three sweeps guarantee evictions and post-eviction recomputation.
-  // (Sequential sweeps alone cannot produce hits — each entry is evicted
-  // before its next use — so the immediate re-ask below is what pins the
-  // hit path: nothing can evict a subset-memo entry between back-to-back
-  // queries of the same pair.)
-  for (int Sweep = 0; Sweep != 3; ++Sweep)
-    for (auto &[IdA, SetA] : Sets)
-      for (auto &[IdB, SetB] : Sets) {
-        ASSERT_EQ(I.isSubsetOf(IdA, IdB), SetA.isSubsetOf(SetB));
-        ASSERT_EQ(I.intersects(IdA, IdB), SetA.intersects(SetB));
-        ASSERT_EQ(I.isSubsetOf(IdA, IdB), SetA.isSubsetOf(SetB));
-      }
-  // The table is far smaller than the pair space, so the run must have
-  // missed, hit (the immediate re-asks), and evicted.
-  EXPECT_GT(I.memoMisses(), 1024u);
-  EXPECT_GT(I.memoHits(), 0u);
-  EXPECT_GT(I.memoEvictions(), 0u);
 }
 
 TEST(LockSetInterner, MixedExactAndInexact) {

@@ -155,6 +155,37 @@ TEST(RaceRuntimeTest, SharedTransitionEvictsOwnerCacheEntry) {
   });
 }
 
+TEST(RaceRuntimeTest, InlineProbeMissesAfterSharedTransitionAndRelease) {
+  // The interpreter's inline probe reads the Section 4.2 caches through a
+  // handle hoisted once per quantum, so both eviction channels must reach
+  // the pointed-to caches in place: a shared transition (Section 7.2) and
+  // the release of the lock an entry was cached under.
+  forEachRuntime({}, [](auto &RT) {
+    ThreadId T1(1), T2(2);
+    RT.onThreadCreate(T1, ThreadId(0), ObjectId(8));
+    RT.onThreadCreate(T2, ThreadId(0), ObjectId(9));
+    ThreadCaches *Handle = RT.cacheHandle(T1);
+    ASSERT_NE(Handle, nullptr);
+
+    RT.onAccess(T1, keyOf(1), WR, SiteId()); // owner; cached
+    EXPECT_TRUE(Handle->probe(keyOf(1), WR));
+    RT.onAccess(T2, keyOf(1), WR, SiteId()); // shares the location
+    EXPECT_FALSE(Handle->probe(keyOf(1), WR));
+    EXPECT_FALSE(RT.probe(T1, keyOf(1), WR));
+
+    RT.onMonitorEnter(T1, LockId(5), /*Recursive=*/false);
+    RT.onAccess(T1, keyOf(2), RD, SiteId()); // cached under lock 5
+    EXPECT_TRUE(Handle->probe(keyOf(2), RD));
+    RT.onMonitorExit(T1, LockId(5), /*StillHeld=*/false);
+    EXPECT_FALSE(Handle->probe(keyOf(2), RD));
+    EXPECT_FALSE(RT.probe(T1, keyOf(2), RD));
+
+    EXPECT_EQ(RT.cacheHandle(T1), Handle) << "the handle must stay stable";
+    EXPECT_EQ(Handle->InlineHits, 2u);
+    EXPECT_EQ(Handle->InlineMisses, 4u);
+  });
+}
+
 TEST(RaceRuntimeTest, CacheTransparencyOnSyntheticStreams) {
   // Property 3 of DESIGN.md: the cache never changes reported locations.
   for (uint64_t Seed = 1; Seed != 6; ++Seed) {

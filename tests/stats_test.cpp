@@ -467,10 +467,6 @@ TEST(GoldenTest, StatsJsonDocument) {
   R.Stats.Hook.FilterEnabled = true;
   R.Stats.Hook.FilterHits = 30;
   R.Stats.Hook.FilterMisses = 64;
-  R.Stats.Hook.EpochBumps = 6;
-  R.Stats.Hook.KeyInvalidations = 2;
-  R.Stats.Hook.BatchFlushes = 4;
-  R.Stats.Hook.BatchedEvents = 24;
   R.Stats.Detector.EventsIn = 24;
   R.Stats.Detector.RacesReported = 1;
   R.Stats.Detector.LocationsTracked = 5;
@@ -535,10 +531,10 @@ TEST(GoldenTest, StatsJsonSchemaEnvelopeIsStable) {
   // The schema pair is a compatibility contract with
   // scripts/check_stats_schema.py — bumping it is an intentional act.
   EXPECT_STREQ(StatsSchemaName, "herd-stats");
-  EXPECT_EQ(StatsSchemaVersion, 1);
+  EXPECT_EQ(StatsSchemaVersion, 2);
   PipelineResult Empty;
   std::string Doc = renderStatsJson(Empty);
-  EXPECT_EQ(Doc.find("{\"schema\":\"herd-stats\",\"version\":1,"), 0u);
+  EXPECT_EQ(Doc.find("{\"schema\":\"herd-stats\",\"version\":2,"), 0u);
   EXPECT_EQ(Doc.back(), '\n');
 }
 

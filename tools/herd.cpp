@@ -106,19 +106,9 @@ void printStats(const PipelineResult &R) {
     double Rate =
         Probes ? 100.0 * double(R.Stats.Hook.FilterHits) / double(Probes)
                : 0.0;
-    std::printf("hook:     %llu/%llu L0 filter hits (%.1f%%), %llu epoch "
-                "bumps, %llu key invalidations\n",
+    std::printf("hook:     %llu/%llu inline cache-probe hits (%.1f%%)\n",
                 (unsigned long long)R.Stats.Hook.FilterHits,
-                (unsigned long long)Probes, Rate,
-                (unsigned long long)R.Stats.Hook.EpochBumps,
-                (unsigned long long)R.Stats.Hook.KeyInvalidations);
-    if (R.Stats.Hook.BatchFlushes)
-      std::printf("hook:     %llu events staged across %llu batch flushes "
-                  "(%.1f events/flush)\n",
-                  (unsigned long long)R.Stats.Hook.BatchedEvents,
-                  (unsigned long long)R.Stats.Hook.BatchFlushes,
-                  double(R.Stats.Hook.BatchedEvents) /
-                      double(R.Stats.Hook.BatchFlushes));
+                (unsigned long long)Probes, Rate);
   }
   std::printf("detector: %llu owned-filtered, %llu weaker-filtered, "
               "%zu locations tracked, %zu trie nodes\n",
@@ -126,11 +116,6 @@ void printStats(const PipelineResult &R) {
               (unsigned long long)R.Stats.Detector.WeakerFiltered,
               R.Stats.Detector.LocationsTracked,
               R.Stats.Detector.TrieNodes);
-  if (R.Stats.Detector.LocksetMemoHits || R.Stats.Detector.LocksetMemoMisses)
-    std::printf("interner: %llu memo hits, %llu misses, %llu evictions\n",
-                (unsigned long long)R.Stats.Detector.LocksetMemoHits,
-                (unsigned long long)R.Stats.Detector.LocksetMemoMisses,
-                (unsigned long long)R.Stats.Detector.LocksetMemoEvictions);
   for (const ThreadCacheStats &TC : R.Stats.PerThreadCache) {
     double Rate = TC.lookups()
                       ? 100.0 * double(TC.hits()) / double(TC.lookups())
