@@ -40,10 +40,10 @@
 ///    (interpreter driving the serial runtime directly) and the best live
 ///    throughput is reported against the replay cold pass.  Replay strips
 ///    the interpretation cost, so the ratio bounds how much of a live run
-///    the detector itself accounts for.  The live run happens once per
-///    dispatch mode (docs/INTERPRETER.md): `switch` is the reference
-///    interpreter, `threaded` is computed-goto dispatch over the
-///    superinstruction shadow code.  The JSON keys the per-mode results
+///    the detector itself accounts for.  The live run happens twice
+///    (docs/INTERPRETER.md): `unfused` runs the interpreter over the
+///    original blocks (the reference), `threaded` over the
+///    superinstruction shadow code.  The JSON keys the per-lane results
 ///    as `live_by_dispatch` and keeps `live` as the threaded entry;
 ///    scripts/check_bench_gates.py gates the smoke run against the
 ///    checked-in baseline.
@@ -305,8 +305,8 @@ struct LiveResult {
   double RatioVsReplayCold = 0; ///< live events/s ÷ replay cold events/s
   /// Dispatch-mechanics counters from the run (InterpResult): how many
   /// superinstructions ran their full sequence and how the batched
-  /// quantum retirement behaved.  Deterministic per (program, mode) —
-  /// identical across reps — and zero under switch dispatch.
+  /// quantum retirement behaved.  Deterministic per (program, lane) —
+  /// identical across reps — and zero without shadow code.
   uint64_t FusedExecs = 0;
   uint64_t BlockRetireHits = 0;
   uint64_t BlockRetiredSteps = 0;
@@ -369,7 +369,7 @@ struct TraceReport {
   double ColdAllocsPerEventPlanned = 0;
   /// The threaded-dispatch live run — the default `herd` hot path.
   LiveResult Live;
-  /// Live runs keyed by dispatch mode ("switch", "threaded"); Live above
+  /// Live runs keyed by lane ("unfused", "threaded"); Live above
   /// duplicates the threaded entry so older consumers keep working.
   std::vector<std::pair<std::string, LiveResult>> LiveModes;
   /// The hook-path filtered-vs-unfiltered live A/B (docs/HOOKPATH.md).
@@ -441,11 +441,11 @@ void printPass(const std::string &Trace, const PassResult &R) {
 void writeJson(std::FILE *F, const std::vector<TraceReport> &Reports,
                const MetricsRegistry &Metrics, bool Smoke, uint32_t Reps) {
   std::fprintf(F, "{\n");
-  std::fprintf(F, "  \"schema\": \"herd-bench-hotpath-v6\",\n");
+  std::fprintf(F, "  \"schema\": \"herd-bench-hotpath-v7\",\n");
   std::fprintf(F, "  \"smoke\": %s,\n", Smoke ? "true" : "false");
   std::fprintf(F, "  \"reps\": %u,\n", Reps);
   // The run's metrics-registry counters (support/Metrics.h), name-sorted:
-  // one `live.<trace>.<mode>.*` triple per live run, describing how the
+  // one `live.<trace>.<lane>.*` triple per live run, describing how the
   // work was dispatched (fused executions, batched quantum retirement).
   {
     auto Counters = Metrics.counterValues();
@@ -849,10 +849,10 @@ int main(int argc, char **argv) {
     // Live serial: the interpreter drives the planned runtime directly —
     // the path a real `herd` invocation takes.  Compare against the replay
     // cold pass (same structure-building work, minus interpretation).
-    // The interpreter is deterministic and dispatch never changes behavior
-    // (docs/INTERPRETER.md), so every live run — either mode — emits
+    // The interpreter is deterministic and fusion never changes behavior
+    // (docs/INTERPRETER.md), so every live run — either lane — emits
     // exactly the recorded event stream and must report the same racy
-    // locations.  Both modes run so the JSON carries the switch/threaded
+    // locations.  Both lanes run so the JSON carries the unfused/threaded
     // live A/B; `live` stays the threaded (default fast path) entry.
     if (T.Prog) {
       // Passes[0] is the serial cold row.
@@ -862,11 +862,11 @@ int main(int argc, char **argv) {
       struct LiveMode {
         const char *Name;
         const char *Row;
-        DispatchMode Mode;
+        const ThreadedCode *Shadow;
       };
       const LiveMode Modes[] = {
-          {"switch", "live[sw]", DispatchMode::Switch},
-          {"threaded", "live[th]", DispatchMode::Threaded},
+          {"unfused", "live[uf]", nullptr},
+          {"threaded", "live[th]", &Fused},
       };
       for (const LiveMode &M : Modes) {
         LiveResult Live;
@@ -877,9 +877,7 @@ int main(int argc, char **argv) {
           LiveRT = std::make_unique<RaceRuntime>(LOpts);
           InterpOptions IOpts;
           IOpts.TraceEveryAccess = true;
-          IOpts.Dispatch = M.Mode;
-          IOpts.Fused =
-              M.Mode == DispatchMode::Threaded ? &Fused : nullptr;
+          IOpts.Fused = M.Shadow;
           Interpreter Interp(*T.Prog, LiveRT.get(), IOpts);
           uint64_t Allocs0 = GAllocCalls.load(std::memory_order_relaxed);
           auto T0 = std::chrono::steady_clock::now();
@@ -925,7 +923,7 @@ int main(int argc, char **argv) {
                     Report.Name.c_str(), M.Row, "cold", Live.EventsPerSec,
                     Live.Seconds, (unsigned long long)Live.Allocs,
                     Live.AllocsPerEvent, "-", Live.RatioVsReplayCold);
-        if (M.Mode == DispatchMode::Threaded)
+        if (M.Shadow)
           Report.Live = Live;
         Report.LiveModes.emplace_back(M.Name, Live);
       }
@@ -947,7 +945,6 @@ int main(int argc, char **argv) {
           FastRT = std::make_unique<RaceRuntime>(LOpts);
           InterpOptions IOpts;
           IOpts.TraceEveryAccess = true;
-          IOpts.Dispatch = DispatchMode::Threaded;
           IOpts.Fused = &Fused;
           IOpts.SerialSink = FastRT.get();
           Interpreter Interp(*T.Prog, FastRT.get(), IOpts);
@@ -1010,7 +1007,6 @@ int main(int argc, char **argv) {
           FanoutHooks Fanout{ProvRT.get(), Prov.get()};
           InterpOptions IOpts;
           IOpts.TraceEveryAccess = true;
-          IOpts.Dispatch = DispatchMode::Threaded;
           IOpts.Fused = &Fused;
           Interpreter Interp(*T.Prog, &Fanout, IOpts);
           auto T0 = std::chrono::steady_clock::now();

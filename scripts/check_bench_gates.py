@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """bench_hotpath regression gates for CI.
 
-Compares a fresh bench_hotpath run (herd-bench-hotpath-v6 JSON) against
+Compares a fresh bench_hotpath run (herd-bench-hotpath-v7 JSON) against
 the checked-in baseline.  Every gate is one row of CLAUSES below; one
 small engine evaluates the table and prints one ok/FAIL line per clause
 and trace.  The rows guard the paper's efficiency mechanisms:
 
  * cold      the cold-pass allocation rate, unplanned and pre-sized by the
              analysis-driven DetectorPlan (docs/PERFORMANCE.md);
- * dispatch  the threaded interpreter vs the switch reference
-             interpreter and vs cold replay (docs/INTERPRETER.md);
+ * dispatch  the fused interpreter vs the unfused reference lane of
+             the same engine and vs cold replay (docs/INTERPRETER.md);
  * hook      the inline cache probe and devirtualized hook path, and
              provenance capture as a pure listener (docs/HOOKPATH.md,
              docs/REPORTS.md);
@@ -33,7 +33,7 @@ import operator
 import sys
 from collections import namedtuple
 
-SCHEMA = "herd-bench-hotpath-v6"
+SCHEMA = "herd-bench-hotpath-v7"
 
 # A row of the gate table.  `section` is the per-trace JSON section the
 # row reads; `traces` is EACH (every baseline trace carrying `section`) or
@@ -68,7 +68,7 @@ EPOCH_KEYS = ("vc_events_per_sec", "epoch_cold_events_per_sec",
               "steady_allocs_per_event", "racy_locations", "agreement")
 
 THREADED = ("live_by_dispatch", "threaded")
-SWITCH = ("live_by_dispatch", "switch")
+UNFUSED = ("live_by_dispatch", "unfused")
 HOOK = "hook_path"
 PROV = "provenance_ab"
 EPOCH = "epoch_ab"
@@ -89,10 +89,10 @@ CLAUSES = [
     Clause("cold.refhot-planned-ceiling", "cold_ab", "refhot",
            ("cold_ab", "allocs_per_event_planned"), "<=", Const(0.2), False),
 
-    # --- dispatch: every live-measured trace carries both dispatch modes,
-    # and the legacy `live` entry is the threaded one.
+    # --- dispatch: every live-measured trace carries both interpreter
+    # lanes, and the legacy `live` entry is the threaded one.
     Clause("dispatch.keys", "live_by_dispatch", EACH, ("live_by_dispatch",),
-           "has", Keys([(m, k) for m in ("switch", "threaded")
+           "has", Keys([(m, k) for m in ("unfused", "threaded")
                         for k in LIVE_KEYS]), False),
     Clause("dispatch.live-is-threaded", "live_by_dispatch", EACH, ("live",),
            "==", Field(THREADED, None), False),
@@ -102,19 +102,19 @@ CLAUSES = [
     # so it absorbs machine speed but not a dispatch-loop regression.
     Clause("dispatch.ratio-vs-replay", "live_by_dispatch", EACH,
            THREADED + ("ratio_vs_replay_cold",), ">=", Base(0.4, 0.0), False),
-    # The fast path may tie the reference interpreter on tiny smoke traces,
-    # not lose to it outright.
-    Clause("dispatch.threaded-vs-switch", "live_by_dispatch", EACH,
+    # The fast path may tie the unfused lane on tiny smoke traces, not
+    # lose to it outright.
+    Clause("dispatch.threaded-vs-unfused", "live_by_dispatch", EACH,
            THREADED + ("events_per_sec",), ">=",
-           Field(SWITCH + ("events_per_sec",), 0.5), False),
+           Field(UNFUSED + ("events_per_sec",), 0.5), False),
     # Cross-run absolute throughput: loose enough for a slower runner, but
     # still trips on the fast path falling off a cliff.
     Clause("dispatch.threaded-vs-baseline", "live_by_dispatch", EACH,
            THREADED + ("events_per_sec",), ">=", Base(0.4, 0.0), False),
 ] + [
-    # Switch dispatch executes no shadow code at all.
-    Clause("dispatch.switch-" + key.replace("_", "-") + "-zero",
-           "live_by_dispatch", EACH, SWITCH + (key,), "==", Const(0), False)
+    # The unfused lane executes no shadow code at all.
+    Clause("dispatch.unfused-" + key.replace("_", "-") + "-zero",
+           "live_by_dispatch", EACH, UNFUSED + (key,), "==", Const(0), False)
     for key in COUNTER_KEYS
 ] + [
     # The replicas are fused-heavy by construction: a threaded run with

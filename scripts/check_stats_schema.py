@@ -21,7 +21,7 @@ import json
 import sys
 
 SCHEMA_NAME = "herd-stats"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Required key -> type (or tuple of types) per section.  Lists map each
 # element against the given element spec.
@@ -78,7 +78,6 @@ SECTION_KEYS = {
         "loops_peeled": int,
     },
     "dispatch": {
-        "mode": str,
         "fused_sites": dict,
         "fused_exec": dict,
         "batch_retirement": dict,
@@ -139,9 +138,6 @@ def check_stats(doc):
             check_keys(doc[section], spec, section)
     dispatch = doc.get("dispatch", {})
     if isinstance(dispatch, dict):
-        if dispatch.get("mode") not in ("switch", "threaded"):
-            fail(f"dispatch.mode: expected 'switch' or 'threaded', got "
-                 f"{dispatch.get('mode')!r}")
         for sub in ("fused_sites", "fused_exec"):
             if isinstance(dispatch.get(sub), dict):
                 check_keys(dispatch[sub],

@@ -41,15 +41,6 @@ const char *herd::herdUsageText() {
       "                    chrome://tracing or Perfetto)\n"
       "  --profile         sample the interpreter's dispatch loop and print\n"
       "                    a ranked per-opcode time table\n"
-      "  --dispatch=<mode> interpreter dispatch strategy: threaded (default;\n"
-      "                    computed-goto over superinstruction shadow code,\n"
-      "                    docs/INTERPRETER.md) | switch (the reference\n"
-      "                    interpreter); reports are identical either way\n"
-      "  --hook-filter=<m> hook-path fast path: on (default; devirtualized\n"
-      "                    delivery with an inline probe of the per-thread\n"
-      "                    access cache, docs/HOOKPATH.md) | off (the\n"
-      "                    virtual hook path, for A/B measurement); reports\n"
-      "                    and traces are byte-identical either way\n"
       "  --report=<fmt>    race-report rendering: human (default) | json\n"
       "                    (one versioned herd-report document on stdout) |\n"
       "                    sarif (a SARIF 2.1.0 document for code-scanning\n"
@@ -106,10 +97,6 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
   // --cache-size no matter the flag order, so all apply after the loop.
   uint32_t Shards = 0;    // 0 = serial runtime
   uint32_t CacheSize = 0; // 0 = keep the config's default
-  bool HaveDispatch = false;
-  DispatchMode Dispatch = DispatchMode::Threaded;
-  bool HaveHookFilter = false;
-  bool HookFilterOn = true;
   bool HaveProvenance = false;
   bool ProvenanceOn = false;
 
@@ -184,26 +171,6 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
     } else if (Arg.rfind("--stats=", 0) == 0) {
       return fail("herd: --stats expects human or json, got '" +
                   Arg.substr(8) + "'");
-    } else if (Arg.rfind("--dispatch=", 0) == 0) {
-      std::string Mode = Arg.substr(11);
-      HaveDispatch = true;
-      if (Mode == "switch")
-        Dispatch = DispatchMode::Switch;
-      else if (Mode == "threaded")
-        Dispatch = DispatchMode::Threaded;
-      else
-        return fail("herd: --dispatch expects switch or threaded, got '" +
-                    Mode + "'");
-    } else if (Arg.rfind("--hook-filter=", 0) == 0) {
-      std::string Mode = Arg.substr(14);
-      HaveHookFilter = true;
-      if (Mode == "on")
-        HookFilterOn = true;
-      else if (Mode == "off")
-        HookFilterOn = false;
-      else
-        return fail("herd: --hook-filter expects on or off, got '" + Mode +
-                    "'");
     } else if (Arg.rfind("--report=", 0) == 0) {
       O.Report = Arg.substr(9);
       // Like --detector: unknown formats die here, at parse time, with
@@ -283,10 +250,6 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
   O.Config.RecordTracePath = O.RecordPath;
   if (CacheSize != 0)
     O.Config.CacheEntries = CacheSize;
-  if (HaveDispatch)
-    O.Config.Dispatch = Dispatch;
-  if (HaveHookFilter)
-    O.Config.HookFilter = HookFilterOn;
   if (HaveProvenance)
     O.Config.Provenance = ProvenanceOn;
   O.Config.Seed = O.Seed;

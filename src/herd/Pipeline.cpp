@@ -553,18 +553,15 @@ PipelineResult herd::runPipeline(const Program &Input,
     assert(verifyProgram(P).empty() &&
            "instrumentation must preserve well-formedness");
   }
-  // Superinstruction shadow code for the threaded fast path, built from
-  // the program's final (post-instrumentation) form at plan time.  The
-  // verified IR is never rewritten; the interpreter runs the shadow
-  // blocks (docs/INTERPRETER.md).  Charged to analysis time: it is the
-  // plan paying for runtime efficiency, like detector pre-sizing.
+  // Superinstruction shadow code, built from the program's final
+  // (post-instrumentation) form at plan time.  The verified IR is never
+  // rewritten; the interpreter runs the shadow blocks
+  // (docs/INTERPRETER.md).  Charged to analysis time: it is the plan
+  // paying for runtime efficiency, like detector pre-sizing.
   std::unique_ptr<ThreadedCode> Shadow;
-  Result.Dispatch = Config.Dispatch;
-  if (Config.Dispatch == DispatchMode::Threaded) {
+  if (Config.Superinstructions) {
     Span FuseSpan(Metrics, "fuse");
-    SuperinstrOptions FuseOpts;
-    FuseOpts.Fuse = Config.Superinstructions;
-    Shadow = std::make_unique<ThreadedCode>(buildThreadedCode(P, FuseOpts));
+    Shadow = std::make_unique<ThreadedCode>(buildThreadedCode(P));
     Result.Fusion = Shadow->Stats;
   }
   Result.AnalysisSeconds =
@@ -593,7 +590,6 @@ PipelineResult herd::runPipeline(const Program &Input,
   IOpts.MaxQuantum = Config.MaxQuantum;
   IOpts.MaxInstructions = Config.MaxInstructions;
   IOpts.Profiler = Config.Profiler;
-  IOpts.Dispatch = Config.Dispatch;
   IOpts.Fused = Shadow.get();
   Detection.setDirectSink(IOpts);
   Interpreter Interp(P, Detection.hooks(), IOpts);
@@ -645,7 +641,6 @@ PipelineResult herd::replayTracePipeline(const Program &Input,
   RuntimeHooks *Sink = Detection.hooks();
 
   MetricsRegistry *Metrics = Config.Metrics;
-  Result.Dispatch = Config.Dispatch; // no interpretation: fusion stays zero
   TraceReader Reader;
   Result.Trace = Reader.open(TracePath);
   if (Result.Trace.Ok) {

@@ -54,13 +54,13 @@ struct ToolConfig {
   /// experiments settle on 256.
   uint32_t CacheEntries = 256;
 
-  /// Hook-path fast path (`herd --hook-filter=on|off`, docs/HOOKPATH.md):
-  /// devirtualized event delivery into the detection runtime, with the
-  /// interpreter probing the running thread's Section 4.2 cache inline
-  /// before any call into the runtime.  Purely an optimization — reports,
-  /// traces, schedules and cache counters are identical either way; `off`
-  /// reproduces the virtual hook path for A/B measurement.  The inline
-  /// probe additionally requires UseCache.
+  /// Hook-path fast path (docs/HOOKPATH.md; no CLI flag): devirtualized
+  /// event delivery into the detection runtime, with the interpreter
+  /// probing the running thread's Section 4.2 cache inline before any call
+  /// into the runtime.  Purely an optimization — reports, traces,
+  /// schedules and cache counters are identical either way; false takes
+  /// the virtual hook path, the reference the differential suites compare
+  /// against.  The inline probe additionally requires UseCache.
   bool HookFilter = true;
 
   /// Shard count for the detection runtime: 0 runs the serial
@@ -106,19 +106,13 @@ struct ToolConfig {
   uint32_t MaxQuantum = 40;
   uint64_t MaxInstructions = 500'000'000;
 
-  /// Interpreter dispatch strategy (`herd --dispatch=switch|threaded`,
-  /// docs/INTERPRETER.md).  Threaded is the fast path: computed-goto
-  /// dispatch over superinstruction shadow code with a compiled-out
-  /// no-hook lane.  Switch is the reference interpreter.  Race reports,
-  /// schedules and output are byte-identical across modes.
-#ifdef HERD_DEFAULT_DISPATCH_SWITCH
-  DispatchMode Dispatch = DispatchMode::Switch;
-#else
+  /// Unread; kept only so perfbench (which assigns it) still compiles.
   DispatchMode Dispatch = DispatchMode::Threaded;
-#endif
 
-  /// Superinstruction fusion for threaded dispatch (A/B lever; no CLI
-  /// flag).  Ignored under switch dispatch.
+  /// Superinstruction shadow code (A/B lever; no CLI flag): fusion plus
+  /// batched quantum retirement.  False runs the interpreter over the
+  /// original blocks — the reference the differential suites compare
+  /// against.
   bool Superinstructions = true;
 
   // --- Observability (docs/OBSERVABILITY.md) ---
@@ -194,10 +188,8 @@ struct PipelineResult {
   uint64_t TraceRecords = 0;
   uint64_t TraceBytes = 0;
 
-  /// Which dispatch strategy executed the run, and what the plan-time
-  /// superinstruction pass fused (zeroed under switch dispatch; runtime
-  /// fused-execution counts live in Run.Fused).
-  DispatchMode Dispatch = DispatchMode::Switch;
+  /// What the plan-time superinstruction pass fused (zeroed without
+  /// shadow code; runtime fused-execution counts live in Run.Fused).
   FusionStats Fusion;
 
   /// True when the epoch backend ran (ToolConfig::DetectorBackend::Epoch):

@@ -183,7 +183,6 @@ std::string herd::renderStatsJson(const PipelineResult &Result,
 
   W.key("dispatch");
   W.beginObject();
-  W.member("mode", dispatchModeName(Result.Dispatch));
   W.key("fused_sites");
   W.beginObject();
   W.member("const_binop", Result.Fusion.ConstBinOpSites);

@@ -38,7 +38,7 @@ class MetricsRegistry;
 
 /// The schema identity this build emits.
 inline constexpr const char *StatsSchemaName = "herd-stats";
-inline constexpr int StatsSchemaVersion = 2;
+inline constexpr int StatsSchemaVersion = 3;
 
 /// Renders \p Result as one herd-stats JSON document (trailing newline
 /// included).  \p Metrics and \p Prof are optional sections: when given,

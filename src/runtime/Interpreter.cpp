@@ -4,24 +4,19 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Two dispatch strategies share one set of per-opcode executors
-// (docs/INTERPRETER.md):
+// One engine (docs/INTERPRETER.md): runSliceThreaded() executes a whole
+// scheduling quantum without returning to the scheduler, jumping
+// handler-to-handler via computed goto (portable fallback: a dense jump
+// table the compiler derives from a switch).  It runs either the original
+// blocks or superinstruction shadow code (runtime/ThreadedCode.h), and is
+// instantiated four ways over <EmitAll, Profiled> so the no-hook lane
+// compiles the access-hook plumbing out of the common path entirely.
 //
-//  * Switch (reference): step() is called once per instruction and
-//    dispatches through one switch over the original program.
-//
-//  * Threaded: runSliceThreaded() executes a whole scheduling quantum
-//    without returning to the scheduler, jumping handler-to-handler via
-//    computed goto (portable fallback: a dense jump table the compiler
-//    derives from a switch).  It runs superinstruction shadow code
-//    (runtime/ThreadedCode.h) and is instantiated four ways over
-//    <EmitAll, Profiled> so the no-hook lane compiles the access-hook
-//    plumbing out of the common path entirely.
-//
-// Equivalence invariant: for the same program, options and seed, both
-// strategies retire the same instructions in the same order with the same
-// per-step accounting, so schedules, hook streams, race reports and
-// output are byte-identical (tests/dispatch_differential_test.cpp).
+// Equivalence invariant: for the same program, options and seed, a run
+// over shadow code retires the same instructions in the same order with
+// the same per-step accounting as a run over the original blocks, so
+// schedules, hook streams, race reports and output are byte-identical
+// (tests/dispatch_differential_test.cpp).
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,10 +30,6 @@
 using namespace herd;
 
 RuntimeHooks::~RuntimeHooks() = default;
-
-const char *herd::dispatchModeName(DispatchMode Mode) {
-  return Mode == DispatchMode::Switch ? "switch" : "threaded";
-}
 
 /// A call frame.
 struct Interpreter::Frame {
@@ -616,116 +607,6 @@ Interpreter::StepResult Interpreter::execTrace(SimThread &Thread, Value *Regs,
 }
 
 //===----------------------------------------------------------------------===//
-// Switch (reference) dispatch.
-//===----------------------------------------------------------------------===//
-
-Interpreter::StepResult Interpreter::step(SimThread &Thread) {
-  Frame &F = Thread.Stack.back();
-  if (F.NeedsMonEnter) {
-    StepResult R = enterSynchronizedFrame(Thread, F);
-    if (R != StepResult::Continue)
-      return R;
-  }
-
-  const Method &M = P.method(F.Method);
-  const BasicBlock &Block = M.block(F.Block);
-  assert(F.Ip < Block.Instrs.size() && "pc ran off the end of a block");
-  const Instr &I = Block.Instrs[F.Ip];
-  Value *Regs = F.Regs.data();
-
-  if (HERD_UNLIKELY(Prof != nullptr)) {
-    // Opcode captured up front: executeInstr can grow Thread.Stack, but
-    // never mutates the method body I points into.
-    Opcode Op = I.Op;
-    if (Prof->onDispatch(Op)) {
-      Prof->beginSample();
-      uint64_t Begin = Prof->now();
-      StepResult R = executeInstr(Thread, F, Regs, I);
-      uint64_t End = Prof->now();
-      Prof->endSample(Op, End - Begin);
-      return R;
-    }
-    return executeInstr(Thread, F, Regs, I);
-  }
-  return executeInstr(Thread, F, Regs, I);
-}
-
-Interpreter::StepResult Interpreter::executeInstr(SimThread &Thread, Frame &F,
-                                                  Value *Regs,
-                                                  const Instr &I) {
-  // Straight-line executors no longer advance the pc themselves (see the
-  // section comment); this reference path advances it here on Continue.
-  StepResult R;
-  switch (I.Op) {
-  case Opcode::Const:
-    R = execConst(Regs, I);
-    break;
-  case Opcode::Move:
-    R = execMove(Regs, I);
-    break;
-  case Opcode::BinOp:
-    R = execBinOp(Regs, I);
-    break;
-  case Opcode::New:
-    R = execNew(Regs, I);
-    break;
-  case Opcode::NewArray:
-    R = execNewArray(Regs, I);
-    break;
-  case Opcode::ArrayLen:
-    R = execArrayLen(Regs, I);
-    break;
-  case Opcode::GetField:
-    R = execGetField(Thread, Regs, I, Opts.TraceEveryAccess);
-    break;
-  case Opcode::PutField:
-    R = execPutField(Thread, Regs, I, Opts.TraceEveryAccess);
-    break;
-  case Opcode::GetStatic:
-    R = execGetStatic(Thread, Regs, I, Opts.TraceEveryAccess);
-    break;
-  case Opcode::PutStatic:
-    R = execPutStatic(Thread, Regs, I, Opts.TraceEveryAccess);
-    break;
-  case Opcode::ALoad:
-    R = execALoad(Thread, Regs, I, Opts.TraceEveryAccess);
-    break;
-  case Opcode::AStore:
-    R = execAStore(Thread, Regs, I, Opts.TraceEveryAccess);
-    break;
-  case Opcode::Print:
-    R = execPrint(Regs, I);
-    break;
-  case Opcode::Trace:
-    R = execTrace(Thread, Regs, I);
-    break;
-  case Opcode::Call:
-    return execCall(Thread, F, Regs, I);
-  case Opcode::Branch:
-    return execBranch(F, Regs, I);
-  case Opcode::Jump:
-    return execJump(F, I);
-  case Opcode::Return:
-    return execReturn(Thread, F, Regs, I);
-  case Opcode::MonitorEnter:
-    return execMonitorEnter(Thread, F, Regs, I);
-  case Opcode::MonitorExit:
-    return execMonitorExit(Thread, F, Regs, I);
-  case Opcode::ThreadStart:
-    return execThreadStart(Thread, F, Regs, I);
-  case Opcode::ThreadJoin:
-    return execThreadJoin(Thread, F, Regs, I);
-  case Opcode::Yield:
-    return execYield(F, I);
-  default:
-    HERD_UNREACHABLE("unknown opcode in interpreter");
-  }
-  if (HERD_LIKELY(R == StepResult::Continue))
-    ++F.Ip;
-  return R;
-}
-
-//===----------------------------------------------------------------------===//
 // Threaded dispatch.
 //
 // One function body compiles two ways (support/Compiler.h):
@@ -737,7 +618,7 @@ Interpreter::StepResult Interpreter::executeInstr(SimThread &Thread, Frame &F,
 //   HERD_COMPUTED_GOTO=0   handlers are cases of a dense switch inside a
 //                          loop — the portable jump-table fallback.
 //
-// Accounting contract (must mirror run()'s switch-mode inner loop):
+// Accounting contract (the per-step semantics every path reproduces):
 //   * quantum check, then one InstructionsExecuted increment + budget
 //     check per instruction, BEFORE it executes;
 //   * every step that does not Fault increments Retired — including a
@@ -778,8 +659,8 @@ Interpreter::StepResult Interpreter::executeInstr(SimThread &Thread, Frame &F,
 // finish, or transfer control (instr/Superinstr.cpp isBatchable), so
 // the slice cannot end inside it.  When the batch does not fit, the
 // block falls back to per-step checks, so quantum-edge behavior
-// (including partial superinstruction retirement) is bit-identical to
-// switch mode.
+// (including partial superinstruction retirement) is bit-identical to a
+// run over the original blocks.
 //===----------------------------------------------------------------------===//
 
 #if HERD_COMPUTED_GOTO
@@ -820,8 +701,8 @@ Interpreter::StepResult Interpreter::executeInstr(SimThread &Thread, Frame &F,
     --Remaining;                                                               \
   } while (false)
 
-/// Executes one instruction with switch-mode-identical profiling: count
-/// the dispatch under the CONSTITUENT opcode (never a fused one) and time
+/// Executes one instruction with exact per-opcode profiling: count the
+/// dispatch under the CONSTITUENT opcode (never a fused one) and time
 /// the sampled executions.  Compiles to a bare call when !Profiled.
 #define HERD_EXEC(Name, Call)                                                  \
   do {                                                                         \
@@ -931,9 +812,8 @@ void Interpreter::runSliceThreaded(SimThread &Thread, uint64_t Quantum,
 EntryStep:
   // First step of a frame: a pending synchronized-method entry acquires
   // the monitor within the same step as the first instruction (or blocks,
-  // which retires the step without advancing the pc) — exactly what
-  // step() does when F.NeedsMonEnter is set.  Monitor entry is never part
-  // of a batch; the ordinary case falls through to TryBatch.
+  // which retires the step without advancing the pc).  Monitor entry is
+  // never part of a batch; the ordinary case falls through to TryBatch.
   if (HERD_UNLIKELY(F->NeedsMonEnter)) {
     if (HERD_UNLIKELY(Remaining == 0))
       goto Exhausted;
@@ -1353,12 +1233,11 @@ InterpResult Interpreter::run() {
     Hooks->onThreadCreate(ThreadId(0), ThreadId::invalid(),
                           ObjectId::invalid());
 
-  // Resolve the threaded slice runner once: the no-hook lane (EmitAll =
-  // false) and the profiler are per-run constants, so the hot loop never
-  // re-tests them.
+  // Resolve the slice runner once: the no-hook lane (EmitAll = false) and
+  // the profiler are per-run constants, so the hot loop never re-tests
+  // them.
   using SliceFn = void (Interpreter::*)(SimThread &, uint64_t, uint32_t &);
-  const bool UseThreaded = Opts.Dispatch == DispatchMode::Threaded;
-  SliceFn ThreadedSlice =
+  SliceFn RunSlice =
       Opts.TraceEveryAccess
           ? (Prof ? &Interpreter::runSliceThreaded<true, true>
                   : &Interpreter::runSliceThreaded<true, false>)
@@ -1417,27 +1296,12 @@ InterpResult Interpreter::run() {
     if (FrontEnd)
       CurCaches = FrontEnd->cacheHandle(Current->Id);
 
-    // Pair counts never chain across a context switch, in either mode.
+    // Pair counts never chain across a context switch.
     if (HERD_UNLIKELY(Prof != nullptr))
       Prof->onSliceStart();
 
     uint32_t Retired = 0;
-    if (UseThreaded) {
-      (this->*ThreadedSlice)(*Current, Quantum, Retired);
-    } else {
-      for (uint64_t Step = 0; Step != Quantum; ++Step) {
-        if (++Result.InstructionsExecuted > Opts.MaxInstructions) {
-          fault("instruction budget exhausted (runaway workload?)");
-          break;
-        }
-        StepResult R = step(*Current);
-        if (R == StepResult::Fault)
-          break;
-        ++Retired;
-        if (R != StepResult::Continue)
-          break; // Blocked / Switched / Finished: end the quantum
-      }
-    }
+    (this->*RunSlice)(*Current, Quantum, Retired);
     if (Faulted)
       break;
     if (Opts.Record && Retired > 0)

@@ -42,20 +42,11 @@ class RaceRuntime;
 class ShardedRuntime;
 struct ThreadCaches;
 
-/// How the inner loop dispatches instructions (`herd --dispatch=...`,
-/// docs/INTERPRETER.md).  Switch is the reference semantics: one switch
-/// per step over the original program.  Threaded runs whole scheduling
-/// quanta handler-to-handler (computed goto where available) over shadow
-/// code with superinstructions and a compiled-out no-hook lane.  Both
-/// modes execute byte-identical semantics — schedules, race reports and
-/// output match exactly (pinned by tests/dispatch_differential_test.cpp).
-enum class DispatchMode : uint8_t {
-  Switch,   ///< reference: per-step switch over original code
-  Threaded, ///< fast path: threaded dispatch + superinstructions
-};
-
-/// Printable name for a dispatch mode ("switch" / "threaded").
-const char *dispatchModeName(DispatchMode Mode);
+/// The interpreter has one engine (docs/INTERPRETER.md): threaded dispatch
+/// over the original blocks or over superinstruction shadow code
+/// (InterpOptions::Fused).  This one-value enum survives only as the type
+/// of two fields that nothing reads.
+enum class DispatchMode : uint8_t { Threaded };
 
 /// A recorded schedule: the exact sequence of (thread, retired
 /// instructions) slices of one run.  Plays the role of the DejaVu
@@ -100,23 +91,19 @@ struct InterpOptions {
   /// When set, every dispatch is counted and a 1-in-N sample of them is
   /// timed (`herd --profile`).  Profiling never changes execution
   /// semantics; a null profiler costs one predictable branch per step.
-  /// Under threaded dispatch the profiled variant runs the original
-  /// (unfused) code so per-opcode counts stay exact per constituent.
+  /// The profiled variant runs the original (unfused) code so per-opcode
+  /// counts stay exact per constituent.
   InterpProfiler *Profiler = nullptr;
 
-  /// Inner-loop dispatch strategy.  The default is the threaded fast
-  /// path; builds configured with -DHERD_DEFAULT_DISPATCH_SWITCH=ON (the
-  /// CI reference leg) default to the switch interpreter instead.
-#ifdef HERD_DEFAULT_DISPATCH_SWITCH
-  DispatchMode Dispatch = DispatchMode::Switch;
-#else
+  /// Unread; kept only so perfbench (which assigns it) still compiles.
   DispatchMode Dispatch = DispatchMode::Threaded;
-#endif
 
   /// Optional superinstruction shadow code (instr/Superinstr.h), built
-  /// from the SAME program after instrumentation.  Used only by threaded
-  /// dispatch without a profiler; null runs threaded dispatch over the
-  /// original blocks.  The caller keeps it alive for the whole run.
+  /// from the SAME program after instrumentation.  Used only without a
+  /// profiler; null runs the engine over the original blocks, one
+  /// quantum check per instruction — the reference the differential
+  /// suites compare the fused runs against.  The caller keeps it alive
+  /// for the whole run.
   const ThreadedCode *Fused = nullptr;
 
   /// Devirtualized delivery (docs/HOOKPATH.md): when one of these is set,
@@ -142,16 +129,16 @@ struct InterpResult {
   uint64_t ContextSwitches = 0;
   uint32_t ThreadsCreated = 0;
 
-  /// How often each superinstruction ran its full sequence (threaded
-  /// dispatch with shadow code only; always zero under switch dispatch).
-  /// Excluded from cross-mode equivalence: it describes how the work was
-  /// dispatched, not what the program did.
+  /// How often each superinstruction ran its full sequence (shadow code
+  /// only; always zero over the original blocks).  Excluded from fused vs
+  /// unfused equivalence: it describes how the work was dispatched, not
+  /// what the program did.
   FusedExecCounts Fused;
 
-  /// Batched quantum retirement counters (threaded dispatch with shadow
-  /// code only; zero under switch dispatch).  Like Fused, these describe
-  /// how accounting was performed, not what the program did, and are
-  /// excluded from cross-mode equivalence.
+  /// Batched quantum retirement counters (shadow code only; zero over the
+  /// original blocks).  Like Fused, these describe how accounting was
+  /// performed, not what the program did, and are excluded from fused vs
+  /// unfused equivalence.
   uint64_t BlockRetireHits = 0;   ///< straight-line batches entered
   uint64_t BlockRetiredSteps = 0; ///< instructions retired through batches
 };
@@ -183,14 +170,10 @@ private:
     Fault,     ///< runtime error; abort the whole run
   };
 
-  StepResult step(SimThread &Thread);
-  StepResult executeInstr(SimThread &Thread, Frame &F, Value *Regs,
-                          const Instr &I);
   StepResult enterSynchronizedFrame(SimThread &Thread, Frame &F);
 
   // Per-opcode executors: the single source of semantic truth, shared by
-  // the switch (reference) interpreter and every threaded-dispatch
-  // variant.
+  // every instantiation of the threaded slice runner.
   //
   // The cached-top calling convention (docs/INTERPRETER.md): every
   // executor receives the thread's top frame's register file \p Regs
@@ -249,15 +232,15 @@ private:
   StepResult execYield(Frame &F, const Instr &I);
   StepResult execTrace(SimThread &Thread, Value *Regs, const Instr &I);
 
-  /// Runs up to \p Quantum steps of \p Thread under threaded dispatch,
-  /// reproducing the switch loop's accounting exactly without doing it
-  /// per step: the instruction budget folds into the slice's effective
-  /// quantum, a block's batchable prefix (ThreadedCode::BatchLens) is
-  /// consumed in one decrement, and every exit reconstructs the
-  /// InstructionsExecuted/Retired deltas from the quantum consumed —
-  /// provably identical because the quantum only ever counts steps that
-  /// actually executed and nothing inside a batch can end the slice (see
-  /// the derived-accounting comment in Interpreter.cpp).
+  /// Runs up to \p Quantum steps of \p Thread, reproducing per-step
+  /// accounting exactly without doing it per step: the instruction budget
+  /// folds into the slice's effective quantum, a block's batchable prefix
+  /// (ThreadedCode::BatchLens) is consumed in one decrement, and every
+  /// exit reconstructs the InstructionsExecuted/Retired deltas from the
+  /// quantum consumed — provably identical because the quantum only ever
+  /// counts steps that actually executed and nothing inside a batch can
+  /// end the slice (see the derived-accounting comment in
+  /// Interpreter.cpp).
   template <bool EmitAll, bool Profiled>
   void runSliceThreaded(SimThread &Thread, uint64_t Quantum,
                         uint32_t &Retired);

@@ -5,7 +5,7 @@ The checked-in bench_hotpath JSONs must pass: the smoke baseline against
 itself, and BENCH_hotpath.json against the smoke baseline (a full run, so
 the full-only rows apply too).  Then every clause of the table gets one
 mutated copy that must exit 1 with a FAIL line naming that clause, and a
-schema other than v6 must exit 2.
+schema other than v7 must exit 2.
 
 Usage: python3 tests/bench_gates_test.py
 """
@@ -57,25 +57,25 @@ MUTATIONS = [
      [("base", "refhot", ("cold_ab", "allocs_per_event_planned"), 1.0),
       ("cur", "refhot", ("cold_ab", "allocs_per_event_planned"), 0.5)]),
     ("dispatch.keys", False,
-     [("cur", "mtrt", ("live_by_dispatch", "switch", "seconds"), DELETE)]),
+     [("cur", "mtrt", ("live_by_dispatch", "unfused", "seconds"), DELETE)]),
     ("dispatch.live-is-threaded", False,
      [("cur", "mtrt", ("live", "seconds"), 99.0)]),
     ("dispatch.agreement", False, [("cur", "mtrt", ("agreement",), False)]),
     ("dispatch.ratio-vs-replay", False, threaded("ratio_vs_replay_cold", 0.01)),
-    ("dispatch.threaded-vs-switch", False,
-     [("cur", "mtrt", ("live_by_dispatch", "switch", "events_per_sec"),
+    ("dispatch.threaded-vs-unfused", False,
+     [("cur", "mtrt", ("live_by_dispatch", "unfused", "events_per_sec"),
        1e12)]),
     ("dispatch.threaded-vs-baseline", False,
      threaded("events_per_sec", 1.0) +
-     [("cur", "mtrt", ("live_by_dispatch", "switch", "events_per_sec"),
+     [("cur", "mtrt", ("live_by_dispatch", "unfused", "events_per_sec"),
        1.0)]),
-    ("dispatch.switch-fused-execs-zero", False,
-     [("cur", "mtrt", ("live_by_dispatch", "switch", "fused_execs"), 1)]),
-    ("dispatch.switch-block-retire-hits-zero", False,
-     [("cur", "mtrt", ("live_by_dispatch", "switch", "block_retire_hits"),
+    ("dispatch.unfused-fused-execs-zero", False,
+     [("cur", "mtrt", ("live_by_dispatch", "unfused", "fused_execs"), 1)]),
+    ("dispatch.unfused-block-retire-hits-zero", False,
+     [("cur", "mtrt", ("live_by_dispatch", "unfused", "block_retire_hits"),
        1)]),
-    ("dispatch.switch-block-retired-steps-zero", False,
-     [("cur", "mtrt", ("live_by_dispatch", "switch", "block_retired_steps"),
+    ("dispatch.unfused-block-retired-steps-zero", False,
+     [("cur", "mtrt", ("live_by_dispatch", "unfused", "block_retired_steps"),
        1)]),
     ("dispatch.threaded-fused", False, threaded("fused_execs", 0)),
     ("dispatch.baseline-live", False,
@@ -187,9 +187,9 @@ class FailingRuns(unittest.TestCase):
                 self.assertEqual(code, 1, "\n".join(lines))
                 self.assertIn(clause, failing_clauses(lines))
 
-    def test_only_v6_is_accepted(self):
+    def test_only_v7_is_accepted(self):
         old = copy.deepcopy(SMOKE)
-        old["schema"] = "herd-bench-hotpath-v5"
+        old["schema"] = "herd-bench-hotpath-v6"
         self.assertEqual(run_checker(old, SMOKE)[0], 2)
         self.assertEqual(run_checker(SMOKE, old)[0], 2)
 

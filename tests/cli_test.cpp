@@ -94,51 +94,10 @@ TEST(CliTest, UsageTextMentionsEveryFlag) {
   std::string Usage = herdUsageText();
   for (const char *Flag :
        {"--config=", "--seed=", "--shards=", "--cache-size=", "--sweep=", "--record=", "--replay=", "--detector=", "--deadlocks",
-        "--stats", "--trace-json=", "--profile", "--dispatch=",
-        "--hook-filter=", "--report=", "--provenance=", "--dump-ir",
+        "--stats", "--trace-json=", "--profile", "--report=",
+        "--provenance=", "--dump-ir",
         "--workload="})
     EXPECT_NE(Usage.find(Flag), std::string::npos) << Flag;
-}
-
-TEST(CliTest, DispatchModes) {
-  // The build's default stands when the flag is absent...
-#ifdef HERD_DEFAULT_DISPATCH_SWITCH
-  EXPECT_EQ(parse({"p.mj"}).Opts.Config.Dispatch, DispatchMode::Switch);
-#else
-  EXPECT_EQ(parse({"p.mj"}).Opts.Config.Dispatch, DispatchMode::Threaded);
-#endif
-  // ...and both explicit spellings override it.
-  EXPECT_EQ(parse({"p.mj", "--dispatch=switch"}).Opts.Config.Dispatch,
-            DispatchMode::Switch);
-  EXPECT_EQ(parse({"p.mj", "--dispatch=threaded"}).Opts.Config.Dispatch,
-            DispatchMode::Threaded);
-  expectError(parse({"p.mj", "--dispatch=goto"}),
-              "herd: --dispatch expects switch or threaded, got 'goto'");
-  expectError(parse({"p.mj", "--dispatch="}),
-              "herd: --dispatch expects switch or threaded, got ''");
-}
-
-TEST(CliTest, DispatchSurvivesPreset) {
-  // Like --shards/--cache-size, an explicit --dispatch must survive a later
-  // --config preset (which rebuilds the whole ToolConfig).
-  HerdParse P = parse({"p.mj", "--dispatch=switch", "--config=base"});
-  ASSERT_EQ(P.St, HerdParse::Status::Run) << P.Error;
-  EXPECT_EQ(P.Opts.Config.Dispatch, DispatchMode::Switch);
-  EXPECT_FALSE(P.Opts.Config.Instrument); // the preset still applied
-}
-
-TEST(CliTest, HookFilterModes) {
-  // Default is on; both spellings parse; anything else is an error, not a
-  // silently different run.
-  EXPECT_TRUE(parse({"p.mj"}).Opts.Config.HookFilter);
-  EXPECT_TRUE(parse({"p.mj", "--hook-filter=on"}).Opts.Config.HookFilter);
-  EXPECT_FALSE(parse({"p.mj", "--hook-filter=off"}).Opts.Config.HookFilter);
-  expectError(parse({"p.mj", "--hook-filter=maybe"}),
-              "herd: --hook-filter expects on or off, got 'maybe'");
-  expectError(parse({"p.mj", "--hook-filter="}),
-              "herd: --hook-filter expects on or off, got ''");
-  expectError(parse({"p.mj", "--hook-filter=ON"}),
-              "herd: --hook-filter expects on or off, got 'ON'");
 }
 
 TEST(CliTest, ReportFormats) {
@@ -203,18 +162,10 @@ TEST(CliTest, ProvenanceModes) {
 
 TEST(CliTest, ProvenanceSurvivesPreset) {
   // An explicit --provenance must survive a later --config preset (which
-  // rebuilds the whole ToolConfig), like --hook-filter/--dispatch.
+  // rebuilds the whole ToolConfig), like --shards/--cache-size.
   HerdParse P = parse({"p.mj", "--provenance=on", "--config=full"});
   ASSERT_EQ(P.St, HerdParse::Status::Run) << P.Error;
   EXPECT_TRUE(P.Opts.Config.Provenance);
-}
-
-TEST(CliTest, HookFilterSurvivesPreset) {
-  // An explicit --hook-filter must survive a later --config preset (which
-  // rebuilds the whole ToolConfig), like --dispatch/--shards.
-  HerdParse P = parse({"p.mj", "--hook-filter=off", "--config=full"});
-  ASSERT_EQ(P.St, HerdParse::Status::Run) << P.Error;
-  EXPECT_FALSE(P.Opts.Config.HookFilter);
 }
 
 //===----------------------------------------------------------------------===
@@ -222,14 +173,13 @@ TEST(CliTest, HookFilterSurvivesPreset) {
 //===----------------------------------------------------------------------===
 
 TEST(CliTest, PresetAfterFlagDoesNotClobber) {
-  // --config resets the whole ToolConfig; explicit --shards/--cache-size/
-  // --dispatch must survive no matter where the preset sits.
+  // --config resets the whole ToolConfig; explicit --shards/--cache-size
+  // must survive no matter where the preset sits.
   HerdParse P = parse({"p.mj", "--shards=3", "--cache-size=64",
-                       "--dispatch=switch", "--config=nocache"});
+                       "--config=nocache"});
   ASSERT_EQ(P.St, HerdParse::Status::Run) << P.Error;
   EXPECT_EQ(P.Opts.Config.Shards, 3u);
   EXPECT_EQ(P.Opts.Config.CacheEntries, 64u);
-  EXPECT_EQ(P.Opts.Config.Dispatch, DispatchMode::Switch);
   EXPECT_FALSE(P.Opts.Config.UseCache); // the preset still applied
 }
 
@@ -264,6 +214,12 @@ TEST(CliTest, UnknownOptionShowsUsage) {
   // static race set.
   expectError(parse({"p.mj", "--plan=off"}),
               "herd: unknown option '--plan=off'");
+  // The interpreter has one engine, and the hook fast path is not a
+  // flag either: both retired lanes are rejected, not silently ignored.
+  expectError(parse({"p.mj", "--dispatch=switch"}),
+              "herd: unknown option '--dispatch=switch'");
+  expectError(parse({"p.mj", "--hook-filter=off"}),
+              "herd: unknown option '--hook-filter=off'");
 }
 
 TEST(CliTest, BadShards) {

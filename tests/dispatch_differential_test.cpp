@@ -1,4 +1,4 @@
-//===- tests/dispatch_differential_test.cpp - Switch vs threaded ----------==//
+//===- tests/dispatch_differential_test.cpp - Fused vs unfused ------------==//
 //
 // Part of the HERD project (PLDI 2002 datarace-detector reproduction).
 //
@@ -6,15 +6,20 @@
 ///
 /// \file
 /// The equivalence lockdown for the interpreter fast path
-/// (docs/INTERPRETER.md): switch dispatch is the reference semantics, and
-/// threaded dispatch — computed goto, superinstruction shadow code, the
-/// compiled-out no-hook lane — must be observationally indistinguishable
-/// from it.  Every program in the shared corpus (TestPrograms.h plus the
-/// fuzz generator) runs under both modes and must produce byte-identical
-/// race reports, output, instruction counts, context switches and runtime
-/// event streams, with hooks on and off, serial and sharded, across
-/// schedule seeds.  Record/replay must also interoperate: a schedule
-/// recorded under one mode replays exactly under the other.
+/// (docs/INTERPRETER.md): the engine run over the original blocks is the
+/// reference semantics, and the same engine over superinstruction shadow
+/// code — fused sequences, batched quantum retirement — must be
+/// observationally indistinguishable from it.  Every program in the shared
+/// corpus (TestPrograms.h plus the fuzz generator) runs both ways and must
+/// produce byte-identical race reports, output, instruction counts,
+/// context switches and runtime event streams, with hooks on and off,
+/// serial and sharded, across schedule seeds.  Record/replay must also
+/// interoperate: a schedule recorded one way replays exactly the other.
+///
+/// The reference shares the quantum and budget accounting with the fused
+/// runs, so that accounting is also checked on its own: recorded slices
+/// add up to the instructions executed, each slice stays within the
+/// quantum, and an instruction budget faults at exactly one past it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,24 +87,19 @@ void expectSameRun(const PipelineResult &Ref, const PipelineResult &Got,
             Got.Stats.Detector.RacesReported);
 }
 
-/// Runs \p P under switch and threaded dispatch with otherwise-identical
-/// configs and asserts equivalence; also pins that fusion itself is
-/// transparent (threaded with Superinstructions off matches too).
+/// Runs \p P without shadow code (the reference) and with it, with
+/// otherwise-identical configs, and asserts equivalence.
 void runBothModes(const Program &P, ToolConfig Config,
                   const std::string &What) {
-  Config.Dispatch = DispatchMode::Switch;
-  PipelineResult Ref = runPipeline(P, Config);
-
-  Config.Dispatch = DispatchMode::Threaded;
-  PipelineResult Thr = runPipeline(P, Config);
-  expectSameRun(Ref, Thr, What + " [threaded]");
-  EXPECT_EQ(Thr.Dispatch, DispatchMode::Threaded);
-
   Config.Superinstructions = false;
-  PipelineResult NoFuse = runPipeline(P, Config);
-  expectSameRun(Ref, NoFuse, What + " [threaded, no fusion]");
-  EXPECT_EQ(NoFuse.Fusion.sites(), 0u);
-  EXPECT_EQ(NoFuse.Run.Fused.total(), 0u);
+  PipelineResult Ref = runPipeline(P, Config);
+  EXPECT_EQ(Ref.Fusion.sites(), 0u);
+  EXPECT_EQ(Ref.Run.Fused.total(), 0u);
+  EXPECT_EQ(Ref.Run.BlockRetireHits, 0u);
+
+  Config.Superinstructions = true;
+  PipelineResult Fused = runPipeline(P, Config);
+  expectSameRun(Ref, Fused, What + " [fused]");
 }
 
 TEST(DispatchDifferentialTest, NamedProgramsAllConfigs) {
@@ -198,7 +198,7 @@ struct RawRun {
 };
 
 /// Renders the final heap — every object's identity and slot values — as
-/// text, so cross-mode runs can assert end-state equality.
+/// text, so fused and unfused runs can assert end-state equality.
 std::string digestHeap(const Heap &H) {
   std::ostringstream S;
   for (uint32_t Id = 0; Id != H.size(); ++Id) {
@@ -215,18 +215,21 @@ std::string digestHeap(const Heap &H) {
   return S.str();
 }
 
-RawRun runRaw(const Program &P, DispatchMode Mode, uint64_t Seed,
-              bool TraceEveryAccess, const ThreadedCode *Fused,
+/// Runs \p P over \p Fused shadow code, or over the original blocks (the
+/// reference) when it is null.
+RawRun runRaw(const Program &P, uint64_t Seed, bool TraceEveryAccess,
+              const ThreadedCode *Fused,
               const ScheduleTrace *Replay = nullptr,
-              uint32_t MaxQuantum = 40) {
+              uint32_t MaxQuantum = 40,
+              uint64_t MaxInstructions = InterpOptions().MaxInstructions) {
   RawRun Out;
   EventLog Log;
   InterpOptions Opts;
   Opts.Seed = Seed;
   Opts.MaxQuantum = MaxQuantum;
+  Opts.MaxInstructions = MaxInstructions;
   Opts.TraceEveryAccess = TraceEveryAccess;
-  Opts.Dispatch = Mode;
-  Opts.Fused = Mode == DispatchMode::Threaded ? Fused : nullptr;
+  Opts.Fused = Fused;
   Opts.Record = Replay ? nullptr : &Out.Recorded;
   Opts.Replay = Replay;
   Interpreter Interp(P, &Log, Opts);
@@ -234,6 +237,40 @@ RawRun runRaw(const Program &P, DispatchMode Mode, uint64_t Seed,
   Out.Events = Log.lines();
   Out.HeapDigest = digestHeap(Interp.heap());
   return Out;
+}
+
+/// Compares an unfused run and a fused run step-for-step: events, heap,
+/// output, counts, and the recorded schedule slice by slice.
+void expectRawEqual(const RawRun &Ref, const RawRun &Thr) {
+  ASSERT_EQ(Ref.R.Ok, Thr.R.Ok) << Thr.R.Error;
+  EXPECT_EQ(Ref.R.Error, Thr.R.Error);
+  EXPECT_EQ(Ref.Events, Thr.Events);
+  EXPECT_EQ(Ref.HeapDigest, Thr.HeapDigest);
+  EXPECT_EQ(Ref.R.Output, Thr.R.Output);
+  EXPECT_EQ(Ref.R.InstructionsExecuted, Thr.R.InstructionsExecuted);
+  EXPECT_EQ(Ref.R.ContextSwitches, Thr.R.ContextSwitches);
+  ASSERT_EQ(Ref.Recorded.Slices.size(), Thr.Recorded.Slices.size());
+  for (size_t I = 0; I != Ref.Recorded.Slices.size(); ++I) {
+    EXPECT_EQ(Ref.Recorded.Slices[I].ThreadIndex,
+              Thr.Recorded.Slices[I].ThreadIndex)
+        << "slice " << I;
+    EXPECT_EQ(Ref.Recorded.Slices[I].Steps, Thr.Recorded.Slices[I].Steps)
+        << "slice " << I;
+  }
+}
+
+/// The scheduler accounting of one completed run, checked on its own
+/// terms: every instruction charged was retired in exactly one recorded
+/// slice, and no slice is empty or longer than the quantum allows.
+void expectAccountingHolds(const RawRun &Run, uint32_t MaxQuantum) {
+  ASSERT_TRUE(Run.R.Ok) << Run.R.Error;
+  uint64_t Steps = 0;
+  for (const ScheduleTrace::Slice &S : Run.Recorded.Slices) {
+    EXPECT_GE(S.Steps, 1u);
+    EXPECT_LE(S.Steps, MaxQuantum);
+    Steps += S.Steps;
+  }
+  EXPECT_EQ(Steps, Run.R.InstructionsExecuted);
 }
 
 TEST(DispatchDifferentialTest, EventStreamsAndHeapsIdentical) {
@@ -263,92 +300,51 @@ TEST(DispatchDifferentialTest, EventStreamsAndHeapsIdentical) {
       for (uint64_t Seed : {1u, 13u, 21u}) {
         SCOPED_TRACE(Name + " " + V.Label + " seed=" +
                      std::to_string(Seed));
-        RawRun Ref = runRaw(*V.P, DispatchMode::Switch, Seed, V.EmitAll,
-                            nullptr);
-        RawRun Thr = runRaw(*V.P, DispatchMode::Threaded, Seed, V.EmitAll,
-                            &TC);
-        ASSERT_EQ(Ref.R.Ok, Thr.R.Ok) << Thr.R.Error;
-        EXPECT_EQ(Ref.Events, Thr.Events);
-        EXPECT_EQ(Ref.HeapDigest, Thr.HeapDigest);
-        EXPECT_EQ(Ref.R.Output, Thr.R.Output);
-        EXPECT_EQ(Ref.R.InstructionsExecuted, Thr.R.InstructionsExecuted);
-        EXPECT_EQ(Ref.R.ContextSwitches, Thr.R.ContextSwitches);
-
+        RawRun Ref = runRaw(*V.P, Seed, V.EmitAll, nullptr);
+        RawRun Thr = runRaw(*V.P, Seed, V.EmitAll, &TC);
         // The scheduler's decisions — slice by slice — must be identical:
         // this is what keeps seeds, recordings and reports portable
-        // across dispatch modes.
-        ASSERT_EQ(Ref.Recorded.Slices.size(), Thr.Recorded.Slices.size());
-        for (size_t I = 0; I != Ref.Recorded.Slices.size(); ++I) {
-          EXPECT_EQ(Ref.Recorded.Slices[I].ThreadIndex,
-                    Thr.Recorded.Slices[I].ThreadIndex)
-              << "slice " << I;
-          EXPECT_EQ(Ref.Recorded.Slices[I].Steps,
-                    Thr.Recorded.Slices[I].Steps)
-              << "slice " << I;
-        }
+        // between fused and unfused runs.
+        expectRawEqual(Ref, Thr);
+        expectAccountingHolds(Ref, 40);
+        expectAccountingHolds(Thr, 40);
       }
     }
   }
 }
 
 TEST(DispatchDifferentialTest, RecordReplayInteroperates) {
-  // A schedule recorded under one dispatch mode must replay exactly under
-  // the other — in both directions.
+  // A schedule recorded unfused must replay exactly fused, and the
+  // reverse.
   for (auto &[Name, P] : namedCorpus()) {
     ThreadedCode TC = buildThreadedCode(P);
-    RawRun RecSwitch =
-        runRaw(P, DispatchMode::Switch, 21, /*TraceEveryAccess=*/true,
-               nullptr);
-    RawRun RecThreaded =
-        runRaw(P, DispatchMode::Threaded, 21, /*TraceEveryAccess=*/true,
-               &TC);
-    ASSERT_TRUE(RecSwitch.R.Ok) << RecSwitch.R.Error;
+    RawRun RecUnfused = runRaw(P, 21, /*TraceEveryAccess=*/true, nullptr);
+    RawRun RecFused = runRaw(P, 21, /*TraceEveryAccess=*/true, &TC);
+    ASSERT_TRUE(RecUnfused.R.Ok) << RecUnfused.R.Error;
 
-    RawRun ReplayThr =
-        runRaw(P, DispatchMode::Threaded, 99, /*TraceEveryAccess=*/true,
-               &TC, &RecSwitch.Recorded);
-    RawRun ReplaySw =
-        runRaw(P, DispatchMode::Switch, 99, /*TraceEveryAccess=*/true,
-               nullptr, &RecThreaded.Recorded);
+    RawRun ReplayFused = runRaw(P, 99, /*TraceEveryAccess=*/true, &TC,
+                                &RecUnfused.Recorded);
+    RawRun ReplayUnfused = runRaw(P, 99, /*TraceEveryAccess=*/true, nullptr,
+                                  &RecFused.Recorded);
     SCOPED_TRACE(Name);
-    ASSERT_TRUE(ReplayThr.R.Ok) << ReplayThr.R.Error;
-    ASSERT_TRUE(ReplaySw.R.Ok) << ReplaySw.R.Error;
-    EXPECT_EQ(RecSwitch.Events, ReplayThr.Events);
-    EXPECT_EQ(RecSwitch.HeapDigest, ReplayThr.HeapDigest);
-    EXPECT_EQ(RecSwitch.Events, ReplaySw.Events);
-    EXPECT_EQ(RecSwitch.HeapDigest, ReplaySw.HeapDigest);
-    EXPECT_EQ(RecSwitch.R.Output, ReplayThr.R.Output);
-    EXPECT_EQ(RecSwitch.R.Output, ReplaySw.R.Output);
-  }
-}
-
-/// Compares a switch run and a threaded run step-for-step: events, heap,
-/// output, counts, and the recorded schedule slice by slice.
-void expectRawEqual(const RawRun &Ref, const RawRun &Thr) {
-  ASSERT_EQ(Ref.R.Ok, Thr.R.Ok) << Thr.R.Error;
-  EXPECT_EQ(Ref.R.Error, Thr.R.Error);
-  EXPECT_EQ(Ref.Events, Thr.Events);
-  EXPECT_EQ(Ref.HeapDigest, Thr.HeapDigest);
-  EXPECT_EQ(Ref.R.Output, Thr.R.Output);
-  EXPECT_EQ(Ref.R.InstructionsExecuted, Thr.R.InstructionsExecuted);
-  EXPECT_EQ(Ref.R.ContextSwitches, Thr.R.ContextSwitches);
-  ASSERT_EQ(Ref.Recorded.Slices.size(), Thr.Recorded.Slices.size());
-  for (size_t I = 0; I != Ref.Recorded.Slices.size(); ++I) {
-    EXPECT_EQ(Ref.Recorded.Slices[I].ThreadIndex,
-              Thr.Recorded.Slices[I].ThreadIndex)
-        << "slice " << I;
-    EXPECT_EQ(Ref.Recorded.Slices[I].Steps, Thr.Recorded.Slices[I].Steps)
-        << "slice " << I;
+    ASSERT_TRUE(ReplayFused.R.Ok) << ReplayFused.R.Error;
+    ASSERT_TRUE(ReplayUnfused.R.Ok) << ReplayUnfused.R.Error;
+    EXPECT_EQ(RecUnfused.Events, ReplayFused.Events);
+    EXPECT_EQ(RecUnfused.HeapDigest, ReplayFused.HeapDigest);
+    EXPECT_EQ(RecUnfused.Events, ReplayUnfused.Events);
+    EXPECT_EQ(RecUnfused.HeapDigest, ReplayUnfused.HeapDigest);
+    EXPECT_EQ(RecUnfused.R.Output, ReplayFused.R.Output);
+    EXPECT_EQ(RecUnfused.R.Output, ReplayUnfused.R.Output);
   }
 }
 
 TEST(DispatchDifferentialTest, QuantumEdgesStayIdentical) {
   // MaxQuantum=1 and 2 are the nastiest cases for the fast path: every
   // superinstruction has more constituents than the remaining quantum, so
-  // the threaded loop must take the fall-back-to-plain lane on virtually
+  // the fused run must take the fall-back-to-plain lane on virtually
   // every fused site, and block batches can almost never fit.  The
-  // schedule, events and accounting must still match the per-step switch
-  // interpreter byte for byte.
+  // schedule, events and accounting must still match the unfused run
+  // byte for byte, and with MaxQuantum=1 every slice is a single step.
   uint64_t FusedSites = 0;
   for (auto &[Name, P] : namedCorpus()) {
     ThreadedCode TC = buildThreadedCode(P);
@@ -357,12 +353,13 @@ TEST(DispatchDifferentialTest, QuantumEdgesStayIdentical) {
       for (uint64_t Seed : {1u, 13u}) {
         SCOPED_TRACE(Name + " maxq=" + std::to_string(MaxQ) +
                      " seed=" + std::to_string(Seed));
-        RawRun Ref = runRaw(P, DispatchMode::Switch, Seed,
-                            /*TraceEveryAccess=*/true, nullptr, nullptr,
-                            MaxQ);
-        RawRun Thr = runRaw(P, DispatchMode::Threaded, Seed,
-                            /*TraceEveryAccess=*/true, &TC, nullptr, MaxQ);
+        RawRun Ref = runRaw(P, Seed, /*TraceEveryAccess=*/true, nullptr,
+                            nullptr, MaxQ);
+        RawRun Thr = runRaw(P, Seed, /*TraceEveryAccess=*/true, &TC,
+                            nullptr, MaxQ);
         expectRawEqual(Ref, Thr);
+        expectAccountingHolds(Ref, MaxQ);
+        expectAccountingHolds(Thr, MaxQ);
       }
     }
   }
@@ -374,7 +371,7 @@ TEST(DispatchDifferentialTest, ForcedBatchesStayIdentical) {
   // runtime path would go untested on small corpus programs.  Force it:
   // with MinBatchLen=2 every eligible prefix is planned, and the threaded
   // run must both take the batch path (hits > 0) and stay byte-identical
-  // to switch dispatch — including at quantum edges where batches only
+  // to the unfused run — including at quantum edges where batches only
   // sometimes fit in the remaining quantum.
   SuperinstrOptions SOpts;
   SOpts.MinBatchLen = 2;
@@ -385,12 +382,12 @@ TEST(DispatchDifferentialTest, ForcedBatchesStayIdentical) {
       for (uint64_t Seed : {1u, 13u}) {
         SCOPED_TRACE(Name + " maxq=" + std::to_string(MaxQ) +
                      " seed=" + std::to_string(Seed));
-        RawRun Ref = runRaw(P, DispatchMode::Switch, Seed,
-                            /*TraceEveryAccess=*/true, nullptr, nullptr,
-                            MaxQ);
-        RawRun Thr = runRaw(P, DispatchMode::Threaded, Seed,
-                            /*TraceEveryAccess=*/true, &TC, nullptr, MaxQ);
+        RawRun Ref = runRaw(P, Seed, /*TraceEveryAccess=*/true, nullptr,
+                            nullptr, MaxQ);
+        RawRun Thr = runRaw(P, Seed, /*TraceEveryAccess=*/true, &TC,
+                            nullptr, MaxQ);
         expectRawEqual(Ref, Thr);
+        expectAccountingHolds(Thr, MaxQ);
         if (Thr.R.BlockRetireHits > 0) {
           SawBatches = true;
           EXPECT_GE(Thr.R.BlockRetiredSteps, Thr.R.BlockRetireHits);
@@ -409,15 +406,47 @@ TEST(DispatchDifferentialTest, FusionActuallyFires) {
   Program P = testprogs::buildCounter(/*Locked=*/false, 25).P;
   ThreadedCode TC = buildThreadedCode(P);
   EXPECT_GT(TC.Stats.sites(), 0u);
-  RawRun Thr = runRaw(P, DispatchMode::Threaded, 1,
-                      /*TraceEveryAccess=*/false, &TC);
+  RawRun Thr = runRaw(P, 1, /*TraceEveryAccess=*/false, &TC);
   ASSERT_TRUE(Thr.R.Ok) << Thr.R.Error;
   EXPECT_GT(Thr.R.Fused.total(), 0u);
 
-  // And under switch dispatch the counters stay zero.
-  RawRun Ref = runRaw(P, DispatchMode::Switch, 1,
-                      /*TraceEveryAccess=*/false, &TC);
+  // And over the original blocks the counters stay zero.
+  RawRun Ref = runRaw(P, 1, /*TraceEveryAccess=*/false, nullptr);
   EXPECT_EQ(Ref.R.Fused.total(), 0u);
+  EXPECT_EQ(Ref.R.BlockRetireHits, 0u);
+}
+
+TEST(DispatchDifferentialTest, BudgetExhaustionFaultsAtTheSameCount) {
+  // MaxInstructions=N must fault on the (N+1)-th charged instruction
+  // whether the run is fused, unfused or batch-heavy: the derived
+  // accounting folds the budget into each slice's effective quantum, and
+  // a budget edge that lands inside a superinstruction or a batch must
+  // not move the fault.  Events, heap and schedule up to the fault match
+  // too.
+  SuperinstrOptions Forced;
+  Forced.MinBatchLen = 2;
+  for (auto &[Name, P] : namedCorpus()) {
+    ThreadedCode TC = buildThreadedCode(P);
+    ThreadedCode Batched = buildThreadedCode(P, Forced);
+    for (uint64_t Seed : {1u, 13u}) {
+      uint64_t Total =
+          runRaw(P, Seed, /*TraceEveryAccess=*/true, nullptr)
+              .R.InstructionsExecuted;
+      for (uint64_t Budget : {uint64_t(1), Total / 3, Total / 2, Total - 1}) {
+        SCOPED_TRACE(Name + " seed=" + std::to_string(Seed) +
+                     " budget=" + std::to_string(Budget));
+        RawRun Ref = runRaw(P, Seed, /*TraceEveryAccess=*/true, nullptr,
+                            nullptr, 40, Budget);
+        EXPECT_FALSE(Ref.R.Ok);
+        EXPECT_NE(Ref.R.Error.find("budget"), std::string::npos)
+            << Ref.R.Error;
+        EXPECT_EQ(Ref.R.InstructionsExecuted, Budget + 1);
+        for (const ThreadedCode *Shadow : {&TC, &Batched})
+          expectRawEqual(Ref, runRaw(P, Seed, /*TraceEveryAccess=*/true,
+                                     Shadow, nullptr, 40, Budget));
+      }
+    }
+  }
 }
 
 } // namespace

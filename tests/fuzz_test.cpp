@@ -165,18 +165,20 @@ TEST_P(FuzzTest, DeterministicPerSeed) {
 }
 
 TEST_P(FuzzTest, DispatchModesAgree) {
-  // Switch vs threaded dispatch (docs/INTERPRETER.md): same reports, same
-  // output, same final heap — dispatch is an implementation detail, never
-  // an observable one.  The full cross-product lives in
-  // dispatch_differential_test.cpp; this is the fuzz-level cross-check.
+  // Fused vs unfused (docs/INTERPRETER.md): same reports, same output,
+  // same final heap — superinstructions are an implementation detail,
+  // never an observable one.  The full cross-product lives in
+  // dispatch_differential_test.cpp; this is the fuzz-level cross-check,
+  // and the only one that compares final heaps through the pipeline's
+  // generated programs.
   Program P = generateProgram(GetParam());
-  ToolConfig Switch = ToolConfig::full();
-  Switch.Seed = 7;
-  Switch.Dispatch = DispatchMode::Switch;
-  ToolConfig Threaded = Switch;
-  Threaded.Dispatch = DispatchMode::Threaded;
-  PipelineResult A = runPipeline(P, Switch);
-  PipelineResult B = runPipeline(P, Threaded);
+  ToolConfig Unfused = ToolConfig::full();
+  Unfused.Seed = 7;
+  Unfused.Superinstructions = false;
+  ToolConfig Fused = Unfused;
+  Fused.Superinstructions = true;
+  PipelineResult A = runPipeline(P, Unfused);
+  PipelineResult B = runPipeline(P, Fused);
   ASSERT_TRUE(A.Run.Ok) << A.Run.Error;
   ASSERT_TRUE(B.Run.Ok) << B.Run.Error;
   EXPECT_EQ(A.FormattedRaces, B.FormattedRaces);
@@ -187,14 +189,12 @@ TEST_P(FuzzTest, DispatchModesAgree) {
 
   // Final heap state, compared through the raw interpreter (the pipeline
   // does not expose its heap): every object's every slot must match.
-  auto FinalHeap = [&](DispatchMode Mode) {
+  auto FinalHeap = [&](bool UseShadow) {
     Program Copy = P;
     InterpOptions Opts;
     Opts.Seed = 7;
-    Opts.Dispatch = Mode;
-    SuperinstrOptions FuseOpts;
-    ThreadedCode TC = buildThreadedCode(Copy, FuseOpts);
-    Opts.Fused = Mode == DispatchMode::Threaded ? &TC : nullptr;
+    ThreadedCode TC = buildThreadedCode(Copy);
+    Opts.Fused = UseShadow ? &TC : nullptr;
     Interpreter Interp(Copy, nullptr, Opts);
     InterpResult R = Interp.run();
     EXPECT_TRUE(R.Ok) << R.Error;
@@ -203,13 +203,13 @@ TEST_P(FuzzTest, DispatchModesAgree) {
       Slots.push_back(Interp.heap().object(ObjectId(Id)).Slots);
     return Slots;
   };
-  auto SwitchHeap = FinalHeap(DispatchMode::Switch);
-  auto ThreadedHeap = FinalHeap(DispatchMode::Threaded);
-  ASSERT_EQ(SwitchHeap.size(), ThreadedHeap.size());
-  for (size_t Obj = 0; Obj != SwitchHeap.size(); ++Obj) {
-    ASSERT_EQ(SwitchHeap[Obj].size(), ThreadedHeap[Obj].size()) << Obj;
-    for (size_t Slot = 0; Slot != SwitchHeap[Obj].size(); ++Slot)
-      EXPECT_TRUE(SwitchHeap[Obj][Slot] == ThreadedHeap[Obj][Slot])
+  auto UnfusedHeap = FinalHeap(false);
+  auto FusedHeap = FinalHeap(true);
+  ASSERT_EQ(UnfusedHeap.size(), FusedHeap.size());
+  for (size_t Obj = 0; Obj != UnfusedHeap.size(); ++Obj) {
+    ASSERT_EQ(UnfusedHeap[Obj].size(), FusedHeap[Obj].size()) << Obj;
+    for (size_t Slot = 0; Slot != UnfusedHeap[Obj].size(); ++Slot)
+      EXPECT_TRUE(UnfusedHeap[Obj][Slot] == FusedHeap[Obj][Slot])
           << "object " << Obj << " slot " << Slot;
   }
 }

@@ -6,15 +6,15 @@
 ///
 /// \file
 /// The equivalence lockdown for the hook-path fast path (docs/HOOKPATH.md):
-/// `--hook-filter=off` is the reference semantics — every access event
-/// travels the virtual RuntimeHooks path into the detection runtime — and
-/// `--hook-filter=on` (devirtualized delivery with the interpreter probing
-/// the Section 4.2 cache inline) must be observationally
-/// indistinguishable from it.  Every program in the shared corpus plus a
-/// slice of the fuzz generator runs with the fast path on and off, under
-/// both dispatch modes, serial and sharded, across schedule seeds, and
-/// must produce byte-identical race reports, output, heaps, instruction
-/// counts and recorded traces.  The inline probe is the cache's own
+/// `ToolConfig::HookFilter = false` is the reference semantics — every
+/// access event travels the virtual RuntimeHooks path into the detection
+/// runtime — and the default fast path (devirtualized delivery with the
+/// interpreter probing the Section 4.2 cache inline) must be
+/// observationally indistinguishable from it.  Every program in the shared
+/// corpus plus a slice of the fuzz generator runs with the fast path on
+/// and off, fused and unfused, serial and sharded, across schedule seeds,
+/// and must produce byte-identical race reports, output, heaps,
+/// instruction counts and recorded traces.  The inline probe is the cache's own
 /// lookup, so even the cache and detector counters must match exactly.
 ///
 /// Also here: a unit test of the AccessCache::provesRedundant predicate,
@@ -134,16 +134,15 @@ void expectCountersReconcile(const PipelineResult &R,
   EXPECT_EQ(R.Stats.Hook.FilterHits, R.Stats.CacheHits);
 }
 
-/// Runs \p P with the fast path off (reference) and on, in both dispatch
-/// modes, and asserts equivalence along every axis.  Returns the total
+/// Runs \p P with the fast path off (reference) and on, fused and
+/// unfused, and asserts equivalence along every axis.  Returns the total
 /// inline hits so callers can assert the fast path actually engaged.
 uint64_t runBothFilters(const Program &P, ToolConfig Config,
                         const std::string &What) {
   uint64_t FilterHits = 0;
-  for (DispatchMode Mode : {DispatchMode::Switch, DispatchMode::Threaded}) {
-    Config.Dispatch = Mode;
-    std::string Tag =
-        What + (Mode == DispatchMode::Switch ? " [switch]" : " [threaded]");
+  for (bool Fused : {true, false}) {
+    Config.Superinstructions = Fused;
+    std::string Tag = What + (Fused ? " [fused]" : " [unfused]");
 
     Config.HookFilter = false;
     PipelineResult Ref = runPipeline(P, Config);

@@ -13,8 +13,8 @@
 ///     count-bump vs dropped-record accounting at the cap, O(1) counting
 ///     queries, clear());
 ///   - fingerprint-set stability differentials: the same execution must
-///     fingerprint identically across dispatch modes, shard counts, the
-///     hook-filter fast path, and record→replay;
+///     fingerprint identically fused and unfused, across shard counts,
+///     with and without the hook-filter fast path, and record→replay;
 ///   - provenance on/off byte-identity of the race *set* for all three
 ///     backend families (lockset trie, epoch happens-before, and the
 ///     vector-clock replay baseline) — the store only listens;
@@ -263,7 +263,7 @@ TEST(RaceReporterTest, CountingQueriesAndClear) {
 //===----------------------------------------------------------------------===
 
 TEST(FingerprintDifferentialTest, StableAcrossDispatchShardsAndHookFilter) {
-  // Dispatch mode, shard count and the hook-filter fast path all promise
+  // Fusion, shard count and the hook-filter fast path all promise
   // byte-identical reports; the fingerprint multiset is the structural
   // form of that promise.  Record→replay rides the same oracle: the
   // trace carries sites, so replayed records fingerprint identically.
@@ -284,7 +284,6 @@ TEST(FingerprintDifferentialTest, StableAcrossDispatchShardsAndHookFilter) {
     std::string Path = tempPath("herd_report_" + C.Name + ".trace");
     ToolConfig Base = C.Cfg;
     Base.Seed = 7;
-    Base.Dispatch = DispatchMode::Threaded;
     Base.RecordTracePath = Path;
     PipelineResult Want = runPipeline(C.P, Base);
     ASSERT_TRUE(Want.Run.Ok) << C.Name << ": " << Want.Run.Error;
@@ -300,10 +299,10 @@ TEST(FingerprintDifferentialTest, StableAcrossDispatchShardsAndHookFilter) {
           << C.Name << " " << What;
     };
 
-    ToolConfig Switch = C.Cfg;
-    Switch.Seed = 7;
-    Switch.Dispatch = DispatchMode::Switch;
-    expectSame("switch-dispatch", runPipeline(C.P, Switch));
+    ToolConfig Unfused = C.Cfg;
+    Unfused.Seed = 7;
+    Unfused.Superinstructions = false;
+    expectSame("unfused", runPipeline(C.P, Unfused));
 
     ToolConfig Sharded = C.Cfg;
     Sharded.Seed = 7;
@@ -313,7 +312,7 @@ TEST(FingerprintDifferentialTest, StableAcrossDispatchShardsAndHookFilter) {
     ToolConfig NoFilter = C.Cfg;
     NoFilter.Seed = 7;
     NoFilter.HookFilter = false;
-    expectSame("hook-filter=off", runPipeline(C.P, NoFilter));
+    expectSame("unfiltered", runPipeline(C.P, NoFilter));
 
     ToolConfig Replay = C.Cfg;
     PipelineResult Replayed = replayTracePipeline(C.P, Replay, Path);

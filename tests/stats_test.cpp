@@ -488,7 +488,6 @@ TEST(GoldenTest, StatsJsonDocument) {
   R.ShardBreakdown.push_back(Shard);
   R.FormattedRaces.push_back("race on \"quoted\" field");
   R.Trace.Ok = true;
-  R.Dispatch = DispatchMode::Threaded;
   R.Fusion.ConstBinOpSites = 3;
   R.Fusion.ConstPutFieldSites = 1;
   R.Fusion.GetBinPutSites = 2;
@@ -531,10 +530,10 @@ TEST(GoldenTest, StatsJsonSchemaEnvelopeIsStable) {
   // The schema pair is a compatibility contract with
   // scripts/check_stats_schema.py — bumping it is an intentional act.
   EXPECT_STREQ(StatsSchemaName, "herd-stats");
-  EXPECT_EQ(StatsSchemaVersion, 2);
+  EXPECT_EQ(StatsSchemaVersion, 3);
   PipelineResult Empty;
   std::string Doc = renderStatsJson(Empty);
-  EXPECT_EQ(Doc.find("{\"schema\":\"herd-stats\",\"version\":2,"), 0u);
+  EXPECT_EQ(Doc.find("{\"schema\":\"herd-stats\",\"version\":3,"), 0u);
   EXPECT_EQ(Doc.back(), '\n');
 }
 
@@ -588,9 +587,6 @@ TEST(ObservabilityTest, PipelinePhaseSpansAllPresent) {
   MetricsRegistry Reg;
   ToolConfig Config = ToolConfig::full();
   Config.Metrics = &Reg;
-  // The "fuse" span is a threaded-dispatch phase; pin the mode so this
-  // holds in builds that default to switch dispatch.
-  Config.Dispatch = DispatchMode::Threaded;
   PipelineResult R = runPipeline(P, Config);
   ASSERT_TRUE(R.Run.Ok) << R.Run.Error;
   std::set<std::string> Names;

@@ -58,10 +58,9 @@ void printStats(const PipelineResult &R) {
               "peeled\n",
               R.Instr.TracesInserted, R.Instr.TracesRemoved,
               R.Instr.LoopsPeeled);
-  std::printf("dispatch: %s, %llu fused sites "
+  std::printf("dispatch: %llu fused sites "
               "(%llu const+binop, %llu const+putfield, %llu get+binop+put), "
               "%llu fused executions\n",
-              dispatchModeName(R.Dispatch),
               (unsigned long long)R.Fusion.sites(),
               (unsigned long long)R.Fusion.ConstBinOpSites,
               (unsigned long long)R.Fusion.ConstPutFieldSites,
